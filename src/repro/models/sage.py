@@ -2,7 +2,8 @@
 
 Layer ``l``:  h_dst = ReLU(W_self . h_dst_prev + W_neigh . AGG(h_neighbors))
 where ``h_dst_prev = h_src[:num_dst]`` thanks to the prefix layout of
-:class:`repro.sampling.SampledSubgraph`.
+:class:`repro.sampling.SampledSubgraph`.  Each layer, its ReLU included,
+is one fused tape node (:func:`repro.tensor.ops.sage_layer`).
 
 The original paper offers several aggregation functions (§2 of GNNDrive:
 "mean, max, sum, or more advanced functions"); this implementation
@@ -16,14 +17,7 @@ import numpy as np
 
 from repro.models.module import Linear, Module
 from repro.sampling.subgraph import SampledSubgraph
-from repro.tensor import (
-    Tensor,
-    add,
-    gather_rows,
-    relu,
-    segment_max_aggregate,
-    spmm,
-)
+from repro.tensor import Tensor, sage_layer, segment_max_aggregate
 
 AGGREGATORS = ("mean", "max", "sum")
 
@@ -39,17 +33,18 @@ class SAGELayer(Module):
         self.self_lin = self.add_child("self_lin", Linear(in_dim, out_dim, rng))
         self.neigh_lin = self.add_child("neigh_lin", Linear(in_dim, out_dim, rng, bias=False))
 
-    def __call__(self, h_src: Tensor, layer_adj) -> Tensor:
-        h_self = gather_rows(h_src, np.arange(layer_adj.num_dst))
+    def __call__(self, h_src: Tensor, layer_adj, relu: bool = False) -> Tensor:
         if self.aggr == "mean":
-            agg = spmm(layer_adj.mean_matrix(), h_src)
+            neigh = layer_adj.mean_matrix()
         elif self.aggr == "sum":
-            agg = spmm(layer_adj.sum_matrix(), h_src)
+            neigh = layer_adj.sum_matrix()
         else:  # max
-            agg = segment_max_aggregate(h_src, layer_adj.src_pos,
-                                        layer_adj.dst_pos,
-                                        layer_adj.num_dst)
-        return add(self.self_lin(h_self), self.neigh_lin(agg))
+            neigh = segment_max_aggregate(h_src, layer_adj.src_pos,
+                                          layer_adj.dst_pos,
+                                          layer_adj.num_dst)
+        return sage_layer(h_src, neigh, self.self_lin.weight,
+                          self.self_lin.bias, self.neigh_lin.weight,
+                          relu=relu)
 
 
 class GraphSAGE(Module):
@@ -79,7 +74,5 @@ class GraphSAGE(Module):
                 f"{self.num_layers} layers")
         h = features
         for i, layer_adj in enumerate(subgraph.layers):
-            h = self.layers[i](h, layer_adj)
-            if i < self.num_layers - 1:
-                h = relu(h)
+            h = self.layers[i](h, layer_adj, relu=i < self.num_layers - 1)
         return h

@@ -71,7 +71,8 @@ def predict(model: Module, features: np.ndarray,
     """Class predictions for the subgraph's seeds (no tape)."""
     model.eval()
     with no_grad():
-        logits = model(Tensor(features.astype(np.float32)), subgraph)
+        logits = model(Tensor(np.asarray(features, dtype=np.float32)),
+                       subgraph)
     return logits.data.argmax(axis=1)
 
 

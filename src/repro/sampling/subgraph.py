@@ -56,18 +56,12 @@ class LayerAdj:
         """
         deg = np.bincount(self.dst_pos, minlength=self.num_dst).astype(np.float32)
         weights = 1.0 / np.maximum(deg[self.dst_pos], 1.0)
-        return sp.csr_matrix(
-            (weights, (self.dst_pos, self.src_pos)),
-            shape=(self.num_dst, self.num_src),
-        )
+        return self._csr(self.dst_pos, self.src_pos, weights)
 
     def sum_matrix(self) -> sp.csr_matrix:
         """Unnormalised aggregation operator (num_dst x num_src)."""
         weights = np.ones(len(self.src_pos), dtype=np.float32)
-        return sp.csr_matrix(
-            (weights, (self.dst_pos, self.src_pos)),
-            shape=(self.num_dst, self.num_src),
-        )
+        return self._csr(self.dst_pos, self.src_pos, weights)
 
     def gcn_matrix(self) -> sp.csr_matrix:
         """Symmetric-normalised GCN operator with implicit self-loops.
@@ -84,8 +78,25 @@ class LayerAdj:
         cols = np.concatenate([self.src_pos,
                                np.arange(self.num_dst, dtype=np.int64)])
         vals = np.concatenate([w, 1.0 / (d_dst + 1.0)]).astype(np.float32)
-        return sp.csr_matrix((vals, (rows, cols)),
-                             shape=(self.num_dst, self.num_src))
+        return self._csr(rows, cols, vals)
+
+    def _csr(self, rows: np.ndarray, cols: np.ndarray,
+             vals: np.ndarray) -> sp.csr_matrix:
+        """The canonical (num_dst x num_src) CSR matrix of the triplets.
+
+        Built directly rather than through COO: a stable sort by row puts
+        the entries in the order scipy's COO->CSR conversion would, and
+        scipy's own ``sum_duplicates`` then sorts each row's columns and
+        merges repeats.  The result equals the COO route's matrix byte
+        for byte (``indptr``, ``indices`` and ``data``).
+        """
+        order = np.argsort(rows, kind="stable")
+        indptr = np.zeros(self.num_dst + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.num_dst), out=indptr[1:])
+        mat = sp.csr_matrix((vals[order], cols[order], indptr),
+                            shape=(self.num_dst, self.num_src))
+        mat.sum_duplicates()
+        return mat
 
 
 @dataclass

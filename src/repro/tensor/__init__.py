@@ -28,6 +28,7 @@ from repro.tensor.ops import (
     concat_cols,
     mul_scalar,
     spmm,
+    sage_layer,
     log_softmax,
     softmax_cross_entropy,
     edge_score,
@@ -39,7 +40,7 @@ from repro.tensor.ops import (
 __all__ = [
     "Tensor", "no_grad", "is_grad_enabled", "ops",
     "add", "matmul", "relu", "leaky_relu", "elu", "dropout",
-    "gather_rows", "concat_cols", "mul_scalar", "spmm",
+    "gather_rows", "concat_cols", "mul_scalar", "spmm", "sage_layer",
     "log_softmax", "softmax_cross_entropy",
     "edge_score", "segment_softmax", "edge_aggregate",
     "segment_max_aggregate",

@@ -182,15 +182,74 @@ def spmm(adj: sp.spmatrix, x: Tensor) -> Tensor:
     GCN operator.  Gradient flows only through *x*.
     """
     x = as_tensor(x)
-    adj_csr = adj.tocsr()
-    out_data = adj_csr @ x.data
-    adj_t = adj_csr.T.tocsr()
+    adj = adj.tocsr()
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            x.accumulate_grad(np.asarray(adj_t @ g))
+            x.accumulate_grad(adj.T @ g)
 
-    return _make(np.asarray(out_data, dtype=np.float32), (x,), backward, "spmm")
+    return _make(np.asarray(adj @ x.data, dtype=np.float32), (x,), backward,
+                 "spmm")
+
+
+def sage_layer(h: Tensor, neigh: sp.spmatrix | Tensor, w_self: Tensor,
+               bias: Tensor, w_neigh: Tensor, relu: bool = False) -> Tensor:
+    """One GraphSAGE layer as a single tape node.
+
+    Computes ``((h[:n_dst] @ w_self) + bias) + (A @ h) @ w_neigh`` and,
+    when *relu* is set, applies ReLU in place.  *neigh* is either the
+    sparse (n_dst, n_src) aggregation operator ``A`` (mean or sum) or an
+    already aggregated (n_dst, d) Tensor for aggregators that are not
+    linear in *h* (max-pool); its gradient then flows to that tensor.
+
+    The self rows are the prefix ``h[:n_dst]`` (the sampler's layout), so
+    the backward pass adds their gradient into ``gh[:n_dst]`` instead of
+    scattering through a gathered copy.  Every floating-point operation,
+    and its order, is that of the composed
+    ``gather_rows``/``spmm``/``matmul``/``add``/``relu`` chain, so values
+    and gradients are bit-identical to it.
+    """
+    h, w_self, bias, w_neigh = (as_tensor(h), as_tensor(w_self),
+                                as_tensor(bias), as_tensor(w_neigh))
+    if isinstance(neigh, Tensor):
+        agg_in, adj = neigh, None
+        agg = neigh.data
+    else:
+        agg_in, adj = None, neigh.tocsr()
+        agg = np.asarray(adj @ h.data, dtype=np.float32)
+    n_dst = agg.shape[0]
+    h_self = h.data[:n_dst]
+    out = h_self @ w_self.data
+    out += bias.data
+    out += agg @ w_neigh.data
+    mask = None
+    if relu:
+        mask = out > 0
+        out *= mask
+
+    def backward(g: np.ndarray) -> None:
+        if mask is not None:
+            g = g * mask
+        if w_self.requires_grad:
+            w_self.accumulate_grad(h_self.T @ g)
+        if bias.requires_grad:
+            bias.accumulate_grad(_unbroadcast(g, bias.data.shape))
+        if w_neigh.requires_grad:
+            w_neigh.accumulate_grad(agg.T @ g)
+        if not (h.requires_grad
+                or (agg_in is not None and agg_in.requires_grad)):
+            return
+        g_agg = g @ w_neigh.data.T
+        if agg_in is not None and agg_in.requires_grad:
+            agg_in.accumulate_grad(g_agg)
+        if h.requires_grad:
+            gh = np.zeros_like(h.data) if adj is None else adj.T @ g_agg
+            gh[:n_dst] += g @ w_self.data.T
+            h.accumulate_grad(gh)
+
+    parents = (h, w_self, bias, w_neigh) + (
+        (agg_in,) if agg_in is not None else ())
+    return _make(out, parents, backward, "sage_layer")
 
 
 # ----------------------------------------------------------------------

@@ -79,15 +79,20 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        """Add *g* into this tensor's gradient buffer."""
+        """Add *g* into this tensor's gradient buffer.
+
+        The first contribution is kept as is, not copied; later ones are
+        added out of place.  A backward closure may hand the same array
+        to several parents, so no gradient array is ever mutated.
+        """
         if g.shape != self.data.shape:
             raise ValueError(
                 f"gradient shape {g.shape} != data shape {self.data.shape}"
             )
         if self.grad is None:
-            self.grad = g.astype(np.float32, copy=True)
+            self.grad = g.astype(np.float32, copy=False)
         else:
-            self.grad += g
+            self.grad = (self.grad + g).astype(np.float32, copy=False)
 
     # ------------------------------------------------------------------
     def backward(self, grad: Optional[np.ndarray] = None) -> None:

@@ -211,6 +211,28 @@ def test_shared_subexpression_grads_accumulate():
     np.testing.assert_allclose(x.grad, 2 * np.ones((2, 2)))
 
 
+def test_shared_gradient_array_is_never_mutated():
+    """``add`` hands the same ``g`` to both parents; when one parent later
+    accumulates more, the other's ``.grad`` keeps its value."""
+    a = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
+    b = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
+    y = add(add(a, b), mul_scalar(a, 3.0))
+    w = np.arange(4, dtype=np.float32).reshape(2, 2)
+    softmax_like_sum(y, w).backward()
+    np.testing.assert_array_equal(b.grad, w)
+    np.testing.assert_array_equal(a.grad, 4 * w)
+
+    g = np.ones(3, dtype=np.float32)
+    p = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+    q = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+    p.accumulate_grad(g)
+    q.accumulate_grad(g)
+    p.accumulate_grad(np.full(3, 2.0, dtype=np.float32))
+    np.testing.assert_array_equal(q.grad, np.ones(3))
+    np.testing.assert_array_equal(g, np.ones(3))
+    np.testing.assert_array_equal(p.grad, np.full(3, 3.0))
+
+
 def test_no_grad_suppresses_tape():
     x = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
     with no_grad():
