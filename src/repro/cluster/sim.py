@@ -299,6 +299,7 @@ class ClusterSim:
                         anchor[s] = int(self.touch_anchor[j])
                         read_pos[s] = read_indptr[-1] + len(order) - 1
                     cost[s] += float(self.touch_cost[j]) - base
+            mirrored = set()  # only this request's reads can repeat
             for seed in self.seeds[r]:
                 if not (self.hedge_armed
                         and self.rank_of_node[seed] < self.hot_n):
@@ -307,8 +308,9 @@ class ClusterSim:
                 part = int(self.part_of_node[seed])
                 succ = int(self.succ_of_part[part, 1])
                 rd = read_pos[home]
-                if rd in m_read:
+                if rd in mirrored:
                     continue  # one mirror per read
+                mirrored.add(rd)
                 m_read.append(rd)
                 m_shard.append(succ)
                 m_cost.append(base + cost[home])
@@ -383,6 +385,25 @@ class ClusterSim:
         self.num_batches = 0
         self.shard_parts = np.zeros(cfg.num_shards, dtype=np.int64)
         self.shard_busy = np.zeros(cfg.num_shards, dtype=np.float64)
+        # Zero-copy views for the per-batch scalar loops.  A batch holds
+        # a handful of parts, where one numpy call costs more than the
+        # work it does; a memoryview item read is cheaper than a numpy
+        # scalar index and yields a plain Python value.  The arrays stay
+        # the only owners of the state.
+        self._v_static = [memoryview(ix) for ix in self.static]
+        self._v_static_arr = [memoryview(a) for a in self.static_arr]
+        self._v_part_read = memoryview(self.part_read)
+        self._v_part_mirror = memoryview(self.part_is_mirror)
+        self._v_part_gone = memoryview(self.part_gone)
+        self._v_req_of_read = memoryview(self.req_of_read)
+        self._v_read_done = memoryview(self.read_done)
+        self._v_read_live = memoryview(self.read_live)
+        self._v_status = memoryview(self.req_status)
+        self._v_remaining = memoryview(self.remaining)
+        self._v_deadlines = memoryview(self.deadlines)
+        self._v_arrivals = memoryview(self.arrivals)
+        self._v_completed_at = memoryview(self.completed_at)
+        self._v_down_until = memoryview(self.down_until)
 
     # ------------------------------------------------------------------
     # Sanitizer hook
@@ -486,7 +507,7 @@ class ClusterSim:
         arrival router would decide.
         """
         a = self.arr_ptr
-        if a >= self.n or self.arrivals[a] > now:
+        if a >= self.n or self._v_arrivals[a] > now:
             return
         hi = int(np.searchsorted(self.arrivals, now, side="right"))
         free = self.cfg.admit_capacity - self.outstanding
@@ -500,7 +521,7 @@ class ClusterSim:
             ledger = self._ledger
             if ledger is not None:
                 ledger.hot_mirrors += m
-            if np.any(self.down_until > now):
+            if max(self._v_down_until) > now:
                 self._reroute_range(a, a + take, now)
         dropped = hi - a - take
         if dropped > 0:
@@ -550,14 +571,18 @@ class ClusterSim:
         if self.terminal >= self.n:
             self._finish()
 
-    def _timeout_requests(self, rs: np.ndarray) -> None:
-        rs = rs[self.req_status[rs] == ADMITTED]
-        if not len(rs):
+    def _timeout_requests(self, rs: List[int]) -> None:
+        status = self._v_status
+        k = 0
+        for r in rs:
+            if status[r] == ADMITTED:
+                status[r] = TIMEOUT
+                k += 1
+        if not k:
             return
-        self.req_status[rs] = TIMEOUT
-        self.timed_out += len(rs)
-        self.outstanding -= len(rs)
-        self.terminal += len(rs)
+        self.timed_out += k
+        self.outstanding -= k
+        self.terminal += k
         if self.terminal >= self.n:
             self._finish()
 
@@ -566,9 +591,10 @@ class ClusterSim:
     # ------------------------------------------------------------------
     def _shard_proc(self, s: int):
         sim = self.sim
+        down_until = self._v_down_until
         while not self._done_ev.triggered:
-            if self.down_until[s] > sim.now:
-                yield sim.timeout(self.down_until[s] - sim.now)
+            if down_until[s] > sim.now:
+                yield sim.timeout(down_until[s] - sim.now)
                 continue
             self._ingest(sim.now)
             if self._done_ev.triggered:
@@ -615,7 +641,7 @@ class ClusterSim:
     def _next_ready(self, s: int) -> Optional[float]:
         t_static = None
         if self.head[s] < len(self.static[s]):
-            t_static = float(self.static_arr[s][self.head[s]])
+            t_static = self._v_static_arr[s][self.head[s]]
         t_dyn = self.dyn[s][0][0] if self.dyn[s] else None
         if t_static is None:
             return t_dyn
@@ -623,106 +649,130 @@ class ClusterSim:
             return t_static
         return min(t_static, t_dyn)
 
-    def _drop_expired(self, parts: np.ndarray) -> None:
+    def _drop_expired(self, parts: List[int]) -> None:
         """Deadline-expired parts: release their reads; a read with no
         live copy left times its request out (the per-shard deadline
         budget — work that cannot start in time is not started)."""
-        rd = self.part_read[parts]
-        np.subtract.at(self.read_live, rd, 1)
-        dead = rd[(~self.read_done[rd]) & (self.read_live[rd] <= 0)]
-        if len(dead):
-            self._timeout_requests(np.unique(self.req_of_read[dead]))
+        read_live, read_done = self._v_read_live, self._v_read_done
+        reads = [self._v_part_read[p] for p in parts]
+        for rd in reads:
+            read_live[rd] -= 1
+        req_of_read = self._v_req_of_read
+        self._timeout_requests([req_of_read[rd] for rd in reads
+                                if not read_done[rd] and read_live[rd] <= 0])
 
-    def _form_batch(self, s: int,
-                    now: float) -> Optional[np.ndarray]:
+    def _form_batch(self, s: int, now: float) -> Optional[List[int]]:
         """Consume ready parts in arrival order; return the service
-        batch (or None when nothing is serveable right now)."""
-        cfg = self.cfg
-        S = self.static[s]
-        A = self.static_arr[s]
-        head = self.head[s]
-        k_abs = int(np.searchsorted(A, now, side="right"))
-        chosen_static = None
-        if k_abs > head:
-            cand = S[head:k_abs]
-            rd = self.part_read[cand]
-            rq = self.req_of_read[rd]
-            valid = ((~self.part_gone[cand]) & (~self.read_done[rd])
-                     & (self.req_status[rq] == ADMITTED))
-            expired = valid & (self.deadlines[rq] < now)
-            serve = valid & ~expired
-            idx = np.nonzero(serve)[0]
-            if len(idx) > cfg.max_batch:
-                consume = int(idx[cfg.max_batch - 1]) + 1
-                idx = idx[:cfg.max_batch]
+        batch (or None when nothing is serveable right now).
+
+        A bounded scan from ``head``: past a full batch, the parts it
+        passes (``tail``) are consumed only if no serveable part follows
+        them in the window; one that does ends the scan just past the
+        batch's last part (``full_at``).  Consumed parts are marked
+        gone, and the expired ones are dropped after the scan.  Deadlines
+        grow with arrival, so no expired part follows a serveable one.
+        """
+        room = self.cfg.max_batch
+        S, A = self._v_static[s], self._v_static_arr[s]
+        part_gone, part_read = self._v_part_gone, self._v_part_read
+        read_done, req_of_read = self._v_read_done, self._v_req_of_read
+        status, deadlines = self._v_status, self._v_deadlines
+        chosen: List[int] = []
+        expired: List[int] = []
+        full_at = 0
+        tail: List[int] = []
+        i, end = self.head[s], len(S)
+        while i < end and A[i] <= now:
+            p = S[i]
+            i += 1
+            if part_gone[p]:
+                continue
+            if full_at:
+                tail.append(p)
             else:
-                consume = len(cand)
-            exp_idx = np.nonzero(expired[:consume])[0]
-            self.head[s] = head + consume
-            self.part_gone[cand[:consume]] = True
-            if len(exp_idx):
-                self._drop_expired(cand[exp_idx])
-            if len(idx):
-                chosen_static = cand[idx]
-        room = cfg.max_batch - (len(chosen_static)
-                                if chosen_static is not None else 0)
-        dyn_take: List[int] = []
+                part_gone[p] = True
+            rd = part_read[p]
+            if read_done[rd]:
+                continue
+            r = req_of_read[rd]
+            if status[r] != ADMITTED:
+                continue
+            if deadlines[r] < now:
+                expired.append(p)
+            elif full_at:
+                i = full_at
+                tail = []
+                break
+            else:
+                chosen.append(p)
+                room -= 1
+                if not room:
+                    full_at = i
+        for p in tail:
+            part_gone[p] = True
+        self.head[s] = i
+        if expired:
+            self._drop_expired(expired)
         dynq = self.dyn[s]
         while dynq and room > 0 and dynq[0][0] <= now:
             _, _, p = heapq.heappop(dynq)
-            if self.part_gone[p] or self.read_done[self.part_read[p]]:
+            if part_gone[p] or read_done[part_read[p]]:
                 continue
-            rq = int(self.req_of_read[self.part_read[p]])
-            if self.req_status[rq] != ADMITTED:
+            r = req_of_read[part_read[p]]
+            if status[r] != ADMITTED:
                 continue
-            self.part_gone[p] = True
-            if self.deadlines[rq] < now:
-                self._drop_expired(np.asarray([p]))
+            part_gone[p] = True
+            if deadlines[r] < now:
+                self._drop_expired([p])
                 continue
-            dyn_take.append(p)
+            chosen.append(p)
             room -= 1
-        if dyn_take:
-            extra = np.asarray(dyn_take, dtype=np.int64)
-            if chosen_static is None:
-                return extra
-            return np.concatenate([chosen_static, extra])
-        return chosen_static
+        return chosen or None
 
-    def _complete_batch(self, s: int, chosen: np.ndarray,
+    def _complete_batch(self, s: int, chosen: List[int],
                         dur: float) -> None:
         now = self.sim.now
         self.num_batches += 1
         self.parts_served += len(chosen)
         self.shard_parts[s] += len(chosen)
         self.shard_busy[s] += dur
-        reads = self.part_read[chosen]
-        uniq, first = np.unique(reads, return_index=True)
-        sel = first[~self.read_done[uniq]]
-        if not len(sel):
+        part_read, read_done = self._v_part_read, self._v_read_done
+        req_of_read, remaining = self._v_req_of_read, self._v_remaining
+        status, is_mirror = self._v_status, self._v_part_mirror
+        new = wins = 0
+        done: List[int] = []
+        for p in chosen:
+            rd = part_read[p]
+            if read_done[rd]:
+                continue  # first copy of a read wins
+            read_done[rd] = True
+            new += 1
+            wins += is_mirror[p]
+            r = req_of_read[rd]
+            left = remaining[r] - 1
+            remaining[r] = left
+            if not left and status[r] == ADMITTED:
+                done.append(r)
+        if not new:
             return
-        new_reads = reads[sel]
-        self.read_done[new_reads] = True
-        self.reads_done_cnt += len(new_reads)
-        wins = int(self.part_is_mirror[chosen[sel]].sum())
+        self.reads_done_cnt += new
         if wins:
             self.mirror_wins += wins
             ledger = self._ledger
             if ledger is not None:
                 ledger.mirror_wins += wins
-        rs = self.req_of_read[new_reads]
-        np.subtract.at(self.remaining, rs, 1)
-        done = np.unique(rs)
-        done = done[(self.remaining[done] == 0)
-                    & (self.req_status[done] == ADMITTED)]
-        if not len(done):
+        if not done:
             return
-        self.req_status[done] = OK
-        self.completed_at[done] = now
-        lat = now - self.arrivals[done]
-        self.slo_miss += int((lat > self.slo).sum())
-        self.completed += len(done)
-        self.outstanding -= len(done)
-        self.terminal += len(done)
+        arrivals, completed_at = self._v_arrivals, self._v_completed_at
+        for r in done:
+            status[r] = OK
+            completed_at[r] = now
+            if now - arrivals[r] > self.slo:
+                self.slo_miss += 1
+        k = len(done)
+        self.completed += k
+        self.outstanding -= k
+        self.terminal += k
         if self.terminal >= self.n:
             self._finish()
 
