@@ -30,17 +30,20 @@ def csc_from_edges(src: np.ndarray, dst: np.ndarray, num_nodes: int,
                      or max(src.max(), dst.max()) >= num_nodes):
         raise ValueError("edge endpoints out of range")
 
-    if dedup and len(src):
-        key = dst * num_nodes + src
-        _, keep = np.unique(key, return_index=True)
-        src, dst = src[keep], dst[keep]
-
     # Sort by destination so each column's in-neighbors are contiguous.
-    order = np.argsort(dst, kind="stable")
-    src, dst = src[order], dst[order]
+    if dedup and len(src):
+        # One sort of the packed (dst, src) key orders the edges and
+        # brings duplicates together; keep the first of each run.
+        key = dst * num_nodes
+        key += src
+        key.sort()
+        key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+        dst, src = np.divmod(key, num_nodes)
+    else:
+        order = np.argsort(dst, kind="stable")
+        src, dst = src[order], dst[order]
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.add.at(indptr, dst + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    np.cumsum(np.bincount(dst, minlength=num_nodes), out=indptr[1:])
     return CSCGraph(indptr, src)
 
 

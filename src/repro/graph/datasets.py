@@ -16,11 +16,13 @@ so the reproduced table can print paper-vs-built side by side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.graph.build import csc_from_edges
 from repro.graph.csc import CSCGraph
 from repro.graph.featurestore import FeatureStore
@@ -48,7 +50,10 @@ class DatasetSpec:
     paper_name: str = ""
 
     def scaled(self, scale: float) -> "DatasetSpec":
-        """Shrink/grow node and edge counts by *scale*."""
+        """Shrink/grow node and edge counts by *scale* (finite, > 0)."""
+        if not (scale > 0 and math.isfinite(scale)):
+            raise ConfigError(
+                f"scale must be a finite number > 0, got {scale!r}")
         return replace(
             self,
             num_nodes=max(64, int(self.num_nodes * scale)),
@@ -56,6 +61,8 @@ class DatasetSpec:
         )
 
     def with_dim(self, dim: int) -> "DatasetSpec":
+        if dim < 1:
+            raise ConfigError(f"dim must be >= 1, got {dim!r}")
         return replace(self, dim=dim)
 
 
@@ -191,7 +198,13 @@ def make_dataset(name_or_spec, seed: int = 0, dim: Optional[int] = None,
     dim:
         Optional feature-dimension override (the Fig. 2/8 sweeps).
     scale:
-        Extra scale factor on top of the registry's 1/1000.
+        Extra scale factor on top of the registry's 1/1000; a finite
+        number > 0.  Node and edge counts never drop below 64 and 256.
+
+    Raises
+    ------
+    ConfigError
+        For a *scale* or *dim* out of range, before anything is generated.
     """
     if isinstance(name_or_spec, DatasetSpec):
         spec = name_or_spec

@@ -78,23 +78,33 @@ def planted_partition_edges(num_nodes: int, num_edges: int, num_classes: int,
     starts = np.searchsorted(sorted_comm, np.arange(num_classes))
     ends = np.searchsorted(sorted_comm, np.arange(num_classes), side="right")
 
-    def skewed(size, lo, hi):
-        """Draw positions in [lo, hi) with a power-law bias toward lo."""
-        u = rng.random(size)
-        return (lo + ((hi - lo) * u ** 2)).astype(np.int64)
+    # Intermediates are computed in place and dropped once dead, so at
+    # most about five edge-length arrays are live at a time.
+    def skewed_nodes():
+        """Nodes at positions in [0, n) with a power-law bias toward 0."""
+        u = rng.random(num_edges)
+        np.square(u, out=u)
+        u *= num_nodes
+        pos = u.astype(np.int64)
+        del u
+        return order[pos]
 
-    src_pos = skewed(num_edges, 0, num_nodes)
-    src = order[src_pos]
+    src = skewed_nodes()
     in_comm = rng.random(num_edges) < homophily
-    dst = np.empty(num_edges, dtype=np.int64)
     comm_of_src = communities[src]
     lo = starts[comm_of_src]
-    hi = np.maximum(ends[comm_of_src], lo + 1)
+    hi = ends[comm_of_src]
+    del comm_of_src
+    np.maximum(hi, lo + 1, out=hi)
     u = rng.random(num_edges)
-    within = (lo + (hi - lo) * u ** 2).astype(np.int64)
-    dst_in = order[np.minimum(within, hi - 1)]
-    dst_out = order[skewed(num_edges, 0, num_nodes)]
-    dst = np.where(in_comm, dst_in, dst_out)
+    np.square(u, out=u)
+    u *= hi - lo
+    u += lo
+    within = u.astype(np.int64)
+    del u, lo
+    dst = order[np.minimum(within, hi - 1, out=within)]
+    del within, hi
+    np.copyto(dst, skewed_nodes(), where=~in_comm)
     self_loop = src == dst
     dst[self_loop] = (dst[self_loop] + 1) % num_nodes
     return src, dst, communities

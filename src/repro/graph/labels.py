@@ -14,6 +14,9 @@ from typing import Tuple
 
 import numpy as np
 
+#: Bytes of float64 noise drawn per block of feature rows.
+BLOCK_BYTES = 256 * 1024
+
 
 def planted_features_and_labels(
     communities: np.ndarray,
@@ -48,10 +51,25 @@ def planted_features_and_labels(
     num_classes = int(communities.max()) + 1 if len(communities) else 0
     centroids = rng.standard_normal((num_classes, dim))
     centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
-    feats = centroids[communities] + noise * rng.standard_normal(
-        (len(communities), dim)
-    ) / np.sqrt(dim)
-    return feats.astype(dtype), communities.copy()
+    # Fill the table a block of rows at a time, so the float64 noise never
+    # exists for the whole table at once.  The draws, the two roundings
+    # (times noise, then over sqrt(dim)), the add and the cast to *dtype*
+    # are per element those of one whole-table expression; see
+    # docs/architecture.md §3.4 before changing any of them.
+    n = len(communities)
+    feats = np.empty((n, dim), dtype=dtype)
+    rows = max(1, BLOCK_BYTES // (8 * dim))
+    buf = np.empty((min(rows, n), dim))
+    scale = np.sqrt(dim)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        block = buf[:hi - lo]
+        rng.standard_normal(out=block)
+        block *= noise
+        block /= scale
+        block += centroids[communities[lo:hi]]
+        feats[lo:hi] = block
+    return feats, communities.copy()
 
 
 def train_val_test_split(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import ConfigError
 from repro.graph import (
     DATASET_REGISTRY,
     edge_buckets,
@@ -10,6 +11,7 @@ from repro.graph import (
     paper_table1,
     partition_nodes,
 )
+from repro.graph import datasets
 from repro.graph.partition import buffer_order, pairs_covered
 from repro.storage import FileCatalog
 
@@ -36,6 +38,31 @@ def test_make_dataset_dim_override_and_scale():
     ds = make_dataset("tiny", seed=0, dim=8, scale=0.5)
     assert ds.dim == 8
     assert ds.num_nodes == 1000
+
+
+def _no_generation(*args, **kwargs):
+    raise AssertionError("generation started before validation")
+
+
+@pytest.mark.parametrize("scale", [0.0, -3, float("nan"), float("inf"),
+                                   float("-inf")])
+def test_make_dataset_rejects_invalid_scale(scale, monkeypatch):
+    monkeypatch.setattr(datasets, "planted_partition_edges", _no_generation)
+    with pytest.raises(ConfigError, match="scale"):
+        make_dataset("tiny", scale=scale)
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_make_dataset_rejects_invalid_dim(dim, monkeypatch):
+    monkeypatch.setattr(datasets, "planted_partition_edges", _no_generation)
+    with pytest.raises(ConfigError, match="dim"):
+        make_dataset("tiny", dim=dim)
+
+
+def test_small_positive_scale_keeps_size_floor():
+    spec = DATASET_REGISTRY["tiny"].scaled(1e-6)
+    assert (spec.num_nodes, spec.num_edges) == (64, 256)
+    assert make_dataset("tiny", scale=1e-6).num_nodes == 64
 
 
 def test_make_dataset_unknown_name():
