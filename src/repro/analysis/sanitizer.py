@@ -182,45 +182,10 @@ class SimSanitizer:
             self._record("schedule", type(event).__name__,
                          f"unknown priority {priority!r} (seq {seq})")
 
-    def on_schedule_batch(self, now: float, whens: Any, priority: int,
-                          seq0: int, events: Any,
-                          kind: str = "Timeout") -> None:
-        """Audit a batch arm (one calendar insert covering N entries).
-
-        Reconstructs the exact per-entry audit stream ``N`` single
-        :meth:`on_schedule` calls would have produced: entry *i* carries
-        sequence number ``seq0 + i`` in arm order.  *events* is None for
-        object-free logical cohorts; findings then name *kind*.
-        """
-        for i, when in enumerate(whens.tolist()):
-            seq = seq0 + i
-            where = type(events[i]).__name__ if events is not None else kind
-            # sim-lint: disable=DET104 -- self-inequality IS the NaN test
-            if when != when or when in (float("inf"), float("-inf")):
-                self._record("schedule", where,
-                             f"non-finite event time {when!r} (seq {seq})")
-            elif when < now:
-                self._record("schedule", where,
-                             f"event scheduled in the past: t={when!r} < "
-                             f"now={now!r} (seq {seq})")
-            if priority not in _PRIORITIES:
-                self._record("schedule", where,
-                             f"unknown priority {priority!r} (seq {seq})")
-
     def on_step(self, when: float, priority: int, seq: int, event: Any) -> None:
         """Digest one processed event and update the tie audit."""
-        self.on_step_logical(when, priority, seq, type(event).__name__,
-                             getattr(event, "name", ""))
-
-    def on_step_logical(self, when: float, priority: int, seq: int,
-                        kind: str, name: str) -> None:
-        """Digest one processed event given its (kind, name) directly.
-
-        This is the digest body: :meth:`on_step` delegates here, and the
-        batched engine calls it for object-free logical wakeups — the
-        digest bytes are identical either way, which is what makes batch
-        arming trace-invariant.
-        """
+        kind = type(event).__name__
+        name: str = getattr(event, "name", "")
         self._hash.update(struct.pack("<dqq", when, priority, seq))
         self._hash.update(kind.encode())
         self._hash.update(name.encode())

@@ -3,7 +3,6 @@
 Subcommands::
 
     python -m repro.bench hotpath [-o BENCH_hotpath.json]
-    python -m repro.bench simcore [-o BENCH_simcore.json] [--check]
     python -m repro.bench determinism [-o BENCH_determinism.json]
     python -m repro.bench faults [-o BENCH_faults.json] [--plan plan.json]
     python -m repro.bench oracle [-o BENCH_oracle.json] [--fuzz N] [--regen]
@@ -16,10 +15,7 @@ Subcommands::
         [--gate-kinds KIND,...] [--report FILE.md]
 
 ``hotpath`` runs the data-plane microbenchmarks (vectorized vs. seed
-reference implementations); ``simcore`` runs the event-plane benchmarks
-(batched engine vs. the frozen heap reference) plus the golden-digest
-and engine-equivalence gates (see :mod:`repro.bench.simcore`);
-``determinism`` replays every system twice
+reference implementations); ``determinism`` replays every system twice
 under the runtime sanitizer and diffs the event traces (see
 :mod:`repro.bench.determinism`); ``faults`` chaos-runs every system
 under a deterministic fault plan and checks the recovery runtime
@@ -78,17 +74,6 @@ def main(argv=None) -> int:
     hp.add_argument("-o", "--output", default="BENCH_hotpath.json",
                     help="output JSON path (default: %(default)s)")
     hp.add_argument("--quiet", action="store_true",
-                    help="suppress the per-bench table")
-    sc = sub.add_parser(
-        "simcore",
-        help="event-plane benchmarks: batched engine vs. heap reference "
-             "(writes BENCH_simcore.json)")
-    sc.add_argument("-o", "--output", default="BENCH_simcore.json",
-                    help="output JSON path (default: %(default)s)")
-    sc.add_argument("--check", action="store_true",
-                    help="CI smoke: small sizes, dispatch gate and "
-                         "digest gates only")
-    sc.add_argument("--quiet", action="store_true",
                     help="suppress the per-bench table")
     det = sub.add_parser(
         "determinism",
@@ -182,7 +167,7 @@ def main(argv=None) -> int:
                          "(default: REPRO_BENCH_RUNS or 5)")
     rc.add_argument("--quiet", action="store_true",
                     help="suppress the per-run lines")
-    for p in (hp, sc, det, flt, orc, srv, cs, cl):
+    for p in (hp, det, flt, orc, srv, cs, cl):
         _add_runs(p)
     cp = sub.add_parser(
         "compare",
@@ -217,11 +202,6 @@ def main(argv=None) -> int:
         from repro.bench.hotpath import run_hotpath
         artifact = run_hotpath(output=args.output, verbose=not args.quiet,
                                runs=args.runs)
-        return 0 if artifact["targets_met"] else 1
-    if args.command == "simcore":
-        from repro.bench.simcore import run_simcore
-        artifact = run_simcore(output=args.output, check=args.check,
-                               verbose=not args.quiet, runs=args.runs)
         return 0 if artifact["targets_met"] else 1
     if args.command == "determinism":
         from repro.bench.determinism import DEFAULT_SYSTEMS, run_determinism

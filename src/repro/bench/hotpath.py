@@ -447,8 +447,7 @@ def bench_sqe_batches(num_records: int = 200_000, record_nbytes: int = 768,
 
 
 # ----------------------------------------------------------------------
-def _result(name: str, n_ops: int, t_ref: Dict, t_vec: Dict,
-            targets=SPEEDUP_TARGETS) -> Dict:
+def _result(name: str, n_ops: int, t_ref: Dict, t_vec: Dict) -> Dict:
     ref, vec = t_ref["best"], t_vec["best"]
     return {
         "name": name,
@@ -465,12 +464,11 @@ def _result(name: str, n_ops: int, t_ref: Dict, t_vec: Dict,
         "reference_ns_per_op": 1e9 * ref / n_ops,
         "vectorized_ns_per_op": 1e9 * vec / n_ops,
         "speedup": ref / vec,
-        "target_speedup": targets.get(name),
+        "target_speedup": SPEEDUP_TARGETS.get(name),
     }
 
 
-#: Shared suffix -> spec mapping for the timing metrics both engine
-#: bench modules emit.
+#: Suffix -> spec mapping for the timing metrics the benches emit.
 TIMING_SPECS = {
     "reference_s": bstats.WALL_S,
     "vectorized_s": bstats.WALL_S,

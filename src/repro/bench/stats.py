@@ -610,7 +610,7 @@ def legacy_metrics(doc: Mapping) -> Dict[str, Dict]:
     degraded mode) instead of crashing on the missing ``stats`` block.
     """
     metrics: Dict[str, Dict] = {}
-    # hotpath / simcore: {"benches": [{"name", "speedup", ...}], ...}
+    # hotpath: {"benches": [{"name", "speedup", ...}], ...}
     for bench in doc.get("benches") or []:
         name = bench.get("name", "bench")
         if "speedup" in bench:

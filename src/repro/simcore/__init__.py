@@ -7,7 +7,9 @@ by a single :class:`Simulator` event loop.
 
 The design follows the classic process-interaction style (as popularised by
 SimPy) but is self-contained, deterministic, and instrumented for the
-utilization/iowait traces the paper reports in Figures 3 and 11.
+utilization/iowait traces the paper reports in Figures 3 and 11.  Pending
+events live on one heap ordered by ``(time, priority, sequence number)``
+(see :mod:`repro.simcore.engine`).
 
 Quick example
 -------------
@@ -22,9 +24,7 @@ Quick example
 (1.5, 'done')
 """
 
-from repro.simcore.calendar import EventCalendar, Segment
-from repro.simcore.engine import (Event, Process, Simulator, Timeout,
-                                  WakeupCohort)
+from repro.simcore.engine import Event, Process, Simulator, Timeout
 from repro.simcore.lru import ArrayLRU
 from repro.simcore.primitives import AllOf, AnyOf, Condition
 from repro.simcore.resources import Resource, Store
@@ -38,9 +38,6 @@ __all__ = [
     "Process",
     "Simulator",
     "Timeout",
-    "WakeupCohort",
-    "EventCalendar",
-    "Segment",
     "AllOf",
     "AnyOf",
     "Condition",

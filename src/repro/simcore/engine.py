@@ -1,20 +1,11 @@
 """Core event loop, events, and generator-coroutine processes.
 
-The engine is a calendar-driven discrete-event simulator.  Time is a
-float (seconds of simulated wall-clock).  Determinism is guaranteed by a
-monotonically increasing tiebreaker on every scheduled event, so two
-runs with the same seeds produce identical traces.
-
-Since the batched-calendar rework the engine dispatches **cohorts**: all
-events scheduled for the same timestamp are popped from the calendar in
-one call (:class:`repro.simcore.calendar.EventCalendar`), the clock is
-advanced once per timestamp, and the cohort's events run in ``(priority,
-seq)`` order — exactly the order the seed's flat tuple heap produced, so
-trace digests are bit-identical (the frozen pre-batching engine survives
-in :mod:`repro.simcore.refengine` as the oracle for that claim).  Batch
-arming (:meth:`Simulator.timeouts`, :meth:`Simulator.schedule_wakeups`)
-inserts N wakeups with one calendar push; object-free wakeup cohorts
-dispatch in O(1) interpreter work per *cohort* rather than per event.
+The engine is a heap-driven discrete-event simulator.  Time is a float
+(seconds of simulated wall-clock).  Every pending event is one
+``(when, key, event)`` entry of a single ``heapq``; the key packs the
+scheduling priority above a monotone sequence number, so entries pop
+in ``(when, priority, seq)`` order and two runs with the same seeds
+produce identical traces.
 
 Processes are plain Python generators that ``yield`` :class:`Event`
 objects; the engine resumes a process when the event it waits on fires,
@@ -25,14 +16,9 @@ exception).
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, List, Optional, \
-    Sequence
-
-import numpy as np
+from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import InterruptError, SimulationError
-from repro.simcore.calendar import (EventCalendar, PRIO_SHIFT, SEQ_MASK,
-                                    Segment)
 
 #: Sentinel for "this event has not been triggered yet".
 PENDING = object()
@@ -42,26 +28,24 @@ PENDING = object()
 URGENT = 0
 NORMAL = 1
 
-#: ``run()`` only attempts the O(heap-width) bulk logical sweep when the
-#: calendar spine is at most this wide; wider heaps use the head-prefix
-#: path so a calendar full of singletons never pays a linear scan.
-_BULK_WIDTH = 64
+#: Bit position of the priority field inside a packed heap key.
+PRIO_SHIFT = 62
+#: Mask recovering the sequence number from a packed key.
+SEQ_MASK = (1 << PRIO_SHIFT) - 1
+
+_INF = float("inf")
 
 
 class Event:
     """A one-shot occurrence at a point in simulated time.
 
     An event moves through three states: *pending* (created), *triggered*
-    (scheduled on the calendar with a value or an exception), and
+    (scheduled on the heap with a value or an exception), and
     *processed* (its callbacks have run).  Processes wait on events by
     yielding them.
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_ok")
-
-    #: Tombstone flag; class-level default so plain events pay nothing.
-    #: :class:`Timeout` shadows it with an instance slot for ``cancel``.
-    _cancelled = False
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
@@ -123,72 +107,19 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed delay; the workhorse of all timing."""
 
-    __slots__ = ("delay", "_cancelled")
+    __slots__ = ("delay",)
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None,
-                 _defer: bool = False) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+    def __init__(self, sim: "Simulator", delay: float,
+                 value: Any = None) -> None:
+        # Also rejects NaN, for which every comparison is false.
+        if not 0 <= delay < _INF:
+            raise ValueError(
+                f"timeout delay must be finite and >= 0: {delay!r}")
         super().__init__(sim)
         self.delay = delay
         self._ok = True
         self._value = value
-        self._cancelled = False
-        if not _defer:
-            sim._schedule(self, NORMAL, delay)
-
-    def cancel(self) -> bool:
-        """Tombstone the pending firing (lazy deletion).
-
-        A cancelled timeout never dispatches: no callbacks run, no
-        sanitizer step is recorded, and the clock never advances for it;
-        the calendar entry is skipped when reached.  Returns True if the
-        timeout was live and is now cancelled; cancelling an already-
-        processed or already-cancelled timeout is a no-op returning
-        False.
-        """
-        if self.processed or self._cancelled:
-            return False
-        self._cancelled = True
-        return True
-
-
-class WakeupCohort:
-    """Handle for a batch of object-free logical wakeups.
-
-    Produced by :meth:`Simulator.schedule_wakeups`: N wakeups armed with
-    one calendar insert and **no** per-event Python objects.  Each
-    logical wakeup is digested by the sanitizer exactly as a plain
-    ``Timeout`` (same kind/name/seq stream), so replacing N consecutive
-    ``timeout()`` arms with one cohort is trace-digest-invariant.
-    Logical wakeups carry no callbacks — they advance the clock and feed
-    the audit stream only.
-    """
-
-    __slots__ = ("sim", "seq0", "count", "kind", "name", "fired",
-                 "_cancelled")
-
-    def __init__(self, sim: "Simulator", seq0: int, count: int, kind: str,
-                 name: str) -> None:
-        self.sim = sim
-        self.seq0 = seq0
-        self.count = count
-        self.kind = kind
-        self.name = name
-        #: How many wakeups have dispatched so far.
-        self.fired = 0
-        self._cancelled: Optional[np.ndarray] = None
-
-    def cancel(self, index: int) -> bool:
-        """Tombstone wakeup *index* (arm order); lazy mask allocation."""
-        if not 0 <= index < self.count:
-            raise IndexError(f"wakeup index {index} out of range "
-                             f"[0, {self.count})")
-        if self._cancelled is None:
-            self._cancelled = np.zeros(self.count, dtype=bool)
-        already = bool(self._cancelled[index])
-        self._cancelled[index] = True
-        return not already
+        sim._schedule(self, NORMAL, delay)
 
 
 class Process(Event):
@@ -293,37 +224,26 @@ class Process(Event):
 
 
 class Simulator:
-    """The event loop: a batched calendar dispatched cohort by cohort.
+    """The event loop: one heap of ``(when, key, event)`` entries.
 
-    Pending events live in two places:
-
-    * ``_now_heap`` — the *open cohort*: a heap of ``(key, event, meta)``
-      entries all scheduled for ``self.now`` (key packs priority and
-      sequence number, so heap order is the seed's ``(priority, seq)``
-      tie-break).  Events scheduled for the current instant — the
-      delay-0 ``succeed`` storm of stores, resources and process
-      hand-offs — land here directly and dispatch within the open
-      cohort, exactly where the flat heap would have popped them.
-    * ``_calendar`` — everything strictly in the future, as singleton
-      entries or batch-armed struct-of-arrays segments.
-
-    Advancing time pops one whole timestamp cohort from the calendar
-    into ``_now_heap`` with a single ``self.now`` update.
+    ``key`` is ``(priority << PRIO_SHIFT) | seq``.  Keys are unique, so
+    tuple comparison never reaches the event, and heap order is the
+    ``(when, priority, seq)`` order the trace digests pin.
     """
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._calendar = EventCalendar()
-        self._now_heap: list = []
+        self._heap: list = []
         self._seq = 0
         self._active_process: Optional[Process] = None
         #: Optional :class:`repro.analysis.SimSanitizer`; when None (the
         #: default) the hooks below cost one pointer test per operation.
         self.sanitizer = None
-        # Dispatch statistics (cheap counters; read by the benches).
+        #: Dispatch statistics: events processed, and timestamps the
+        #: clock advanced to (a *cohort* is the run of events at one
+        #: timestamp).
         self.events_dispatched = 0
         self.cohorts_dispatched = 0
-        self.max_cohort = 0
 
     # ------------------------------------------------------------------
     # Factories
@@ -335,48 +255,6 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires ``delay`` simulated seconds from now."""
         return Timeout(self, delay, value)
-
-    def timeouts(self, delays: Any, values: Optional[Sequence] = None
-                 ) -> list:
-        """Arm one timeout per delay with a single calendar insert.
-
-        Equivalent to ``[self.timeout(d) for d in delays]`` — sequence
-        numbers are assigned in array order, so replacing N *consecutive*
-        single arms at one call site with one ``timeouts`` call is
-        trace-digest-invariant.  Returns the timeout objects in arm
-        order.
-        """
-        delays = np.asarray(delays, dtype=np.float64)
-        if len(delays) and float(delays.min()) < 0:
-            raise ValueError(
-                f"negative timeout delay: {float(delays.min())}")
-        if values is None:
-            events = [Timeout(self, float(d), _defer=True) for d in delays]
-        else:
-            events = [Timeout(self, float(d), v, _defer=True)
-                      for d, v in zip(delays, values)]
-        self._schedule_batch(events, NORMAL, delays)
-        return events
-
-    def schedule_wakeups(self, delays: Any, kind: str = "Timeout",
-                         name: str = "") -> WakeupCohort:
-        """Arm N object-free logical wakeups with one calendar insert.
-
-        Each wakeup advances the clock and feeds the sanitizer exactly
-        like a value-less ``Timeout`` (same digest bytes), but no event
-        object exists and no callbacks can be attached — the cheapest
-        possible way to model N scheduled completions whose effects are
-        applied in bulk elsewhere.
-        """
-        delays = np.asarray(delays, dtype=np.float64)
-        n = len(delays)
-        if n and float(delays.min()) < 0:
-            raise ValueError(
-                f"negative wakeup delay: {float(delays.min())}")
-        cohort = WakeupCohort(self, self._seq + 1, n, kind, name)
-        if n:
-            self._schedule_batch(None, NORMAL, delays, cohort=cohort)
-        return cohort
 
     def process(self, gen: Generator, name: str = "") -> Process:
         """Register a generator as a process starting at the current time."""
@@ -399,7 +277,7 @@ class Simulator:
         return f"\n{text}" if text else ""
 
     # ------------------------------------------------------------------
-    # Scheduling
+    # Scheduling and dispatch
     # ------------------------------------------------------------------
     def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
         self._seq += 1
@@ -407,124 +285,27 @@ class Simulator:
         if self.sanitizer is not None:
             self.sanitizer.on_schedule(self.now, when, priority, self._seq,
                                        event)
-        key = (priority << PRIO_SHIFT) | self._seq
-        # Value test, not delay test: a positive delay that rounds away
-        # still belongs to the open cohort.
-        # sim-lint: disable=DET104 -- exact equality defines cohort membership
-        if when == self.now:
-            heapq.heappush(self._now_heap, (key, event, None))
-        else:
-            self._calendar.push(when, key, event)
+        heapq.heappush(self._heap,
+                       (when, (priority << PRIO_SHIFT) | self._seq, event))
 
-    def _schedule_batch(self, events: Optional[list], priority: int,
-                        delays: np.ndarray,
-                        cohort: Optional[WakeupCohort] = None) -> None:
-        """Arm a batch (real events or a logical cohort) in arm order."""
-        n = len(delays)
-        if n == 0:
-            return
-        seq0 = self._seq + 1
-        self._seq += n
-        whens = self.now + delays
-        if self.sanitizer is not None:
-            self.sanitizer.on_schedule_batch(
-                self.now, whens, priority, seq0, events,
-                kind=cohort.kind if cohort is not None else "Timeout")
-        keys = np.arange(seq0, seq0 + n, dtype=np.int64)
-        if priority:
-            keys |= np.int64(priority) << PRIO_SHIFT
-        # sim-lint: disable=DET104 -- exact equality defines cohort membership
-        now_mask = whens == self.now
-        if now_mask.any():
-            nh = self._now_heap
-            for i in np.flatnonzero(now_mask):
-                nh_event = events[i] if events is not None else None
-                heapq.heappush(nh, (int(keys[i]), nh_event, cohort))
-            keep = ~now_mask
-            whens, keys = whens[keep], keys[keep]
-            if events is not None:
-                events = [events[i] for i in np.flatnonzero(keep)]
-            n = len(whens)
-            if n == 0:
-                return
-        if n == 1:
-            self._calendar.push(
-                float(whens[0]), int(keys[0]),
-                events[0] if events is not None else
-                _LogicalSingleton(cohort, int(keys[0])))
-            return
-        # Stable sort by time keeps arm (= key) order within each
-        # timestamp, reproducing the seed heap's tie-break.
-        order = np.argsort(whens, kind="stable")
-        ev_arr = None
-        if events is not None:
-            ev_arr = np.empty(n, dtype=object)
-            ev_arr[:] = events
-            ev_arr = ev_arr[order]
-        self._calendar.push_segment(
-            Segment(whens[order], keys[order], ev_arr, cohort))
-
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none.
+        """Time of the next scheduled event, or ``inf`` if none."""
+        return self._heap[0][0] if self._heap else _INF
 
-        Naive with respect to tombstones (a cancelled entry holds its
-        place until reached), matching the reference engine.
-        """
-        if self._now_heap:
-            return self.now
-        return self._calendar.min_time()
-
-    def _load_cohort(self) -> None:
-        """Pop the calendar's next timestamp cohort into the open heap.
-
-        Advances ``self.now`` once — and only when the cohort contains
-        at least one live (non-tombstoned) entry.
-        """
-        t, parts = self._calendar.pop_cohort()
-        if t < self.now:
-            raise SimulationError("time went backwards")
-        entries = self._now_heap
-        for part in parts:
-            if part[0] == "one":
-                _, key, ev = part
-                if type(ev) is _LogicalSingleton:
-                    co = ev.cohort
-                    mask = co._cancelled
-                    if mask is None or not mask[(key & SEQ_MASK) - co.seq0]:
-                        entries.append((key, None, co))
-                elif not ev._cancelled:
-                    entries.append((key, ev, None))
-            else:
-                _, keys, events, seg = part
-                co = seg.cohort
-                if events is None:
-                    mask = co._cancelled
-                    base = co.seq0
-                    for k in keys.tolist():
-                        if mask is None or not mask[(k & SEQ_MASK) - base]:
-                            entries.append((k, None, co))
-                else:
-                    for k, ev in zip(keys.tolist(), events):
-                        if not ev._cancelled:
-                            entries.append((k, ev, None))
-        if not entries:
-            return
-        if len(parts) > 1:
-            # Entries from one part are already key-sorted (a sorted
-            # list is a valid heap); mixed parts need the heapify.
-            heapq.heapify(entries)
-        self.now = t
-        self.cohorts_dispatched += 1
-        if len(entries) > self.max_cohort:
-            self.max_cohort = len(entries)
-
-    def _dispatch_event(self, key: int, event: Event) -> None:
+    def step(self) -> None:
+        """Process exactly one event."""
+        if not self._heap:
+            raise SimulationError("step() on an empty schedule")
+        when, key, event = heapq.heappop(self._heap)
+        # sim-lint: disable=DET104 -- exact equality defines cohort membership
+        if when != self.now:
+            if when < self.now:
+                raise SimulationError("time went backwards")
+            self.now = when
+            self.cohorts_dispatched += 1
         if self.sanitizer is not None:
-            self.sanitizer.on_step(self.now, key >> PRIO_SHIFT,
-                                   key & SEQ_MASK, event)
+            self.sanitizer.on_step(when, key >> PRIO_SHIFT, key & SEQ_MASK,
+                                   event)
         self.events_dispatched += 1
         callbacks, event.callbacks = event.callbacks, None
         for cb in callbacks:
@@ -533,201 +314,27 @@ class Simulator:
             # A failed event nobody waits on: surface the error.
             raise event._value
 
-    def _dispatch_logical(self, key: int, cohort: WakeupCohort) -> None:
-        if self.sanitizer is not None:
-            self.sanitizer.on_step_logical(self.now, key >> PRIO_SHIFT,
-                                           key & SEQ_MASK, cohort.kind,
-                                           cohort.name)
-        self.events_dispatched += 1
-        cohort.fired += 1
-
-    def _logical_live(self, key: int, cohort: WakeupCohort) -> bool:
-        mask = cohort._cancelled
-        return mask is None or not mask[(key & SEQ_MASK) - cohort.seq0]
-
-    def step(self) -> None:
-        """Process exactly one live event."""
-        while True:
-            nh = self._now_heap
-            while nh:
-                key, event, meta = heapq.heappop(nh)
-                if event is not None:
-                    if event._cancelled:
-                        continue
-                    self._dispatch_event(key, event)
-                    return
-                if self._logical_live(key, meta):
-                    self._dispatch_logical(key, meta)
-                    return
-            if not self._calendar:
-                raise SimulationError("step() on an empty schedule")
-            self._load_cohort()
-
-    def _drain_now(self) -> None:
-        """Dispatch the open cohort to exhaustion (including same-time
-        events scheduled by its own callbacks)."""
-        nh = self._now_heap
-        while nh:
-            key, event, meta = heapq.heappop(nh)
-            if event is not None:
-                if not event._cancelled:
-                    self._dispatch_event(key, event)
-            elif self._logical_live(key, meta):
-                self._dispatch_logical(key, meta)
-
-    def _dispatch_logical_run(self, t: float) -> None:
-        """O(1)-per-cohort fast path: the whole cohort is one logical
-        segment run — no per-event work unless the sanitizer is on."""
-        _t, parts = self._calendar.pop_cohort()
-        _, keys, _events, seg = parts[0]
-        co = seg.cohort
-        mask = co._cancelled
-        if mask is not None:
-            keys = keys[~mask[(keys & SEQ_MASK) - co.seq0]]
-        k = len(keys)
-        if k == 0:
-            return
-        self.now = t
-        if self.sanitizer is not None:
-            san, kind, name = self.sanitizer, co.kind, co.name
-            for kk in keys.tolist():
-                san.on_step_logical(t, kk >> PRIO_SHIFT, kk & SEQ_MASK,
-                                    kind, name)
-        self.events_dispatched += k
-        co.fired += k
-        self.cohorts_dispatched += 1
-        if k > self.max_cohort:
-            self.max_cohort = k
-
-    def _dispatch_logical_span(self, whens: np.ndarray, keys: np.ndarray,
-                               co: WakeupCohort) -> None:
-        """Dispatch a multi-timestamp logical run in one vectorized sweep.
-
-        Logical wakeups have no callbacks, so no event can be scheduled
-        between two of them; a whole uncontended segment prefix advances
-        the clock timestamp by timestamp with O(1) Python work (per-event
-        only when the sanitizer is on)."""
-        mask = co._cancelled
-        if mask is not None:
-            live = ~mask[(keys & SEQ_MASK) - co.seq0]
-            whens = whens[live]
-            keys = keys[live]
-        k = len(keys)
-        if k == 0:
-            return
-        if whens[0] < self.now:
-            raise SimulationError("time went backwards")
-        if self.sanitizer is not None:
-            san, kind, name = self.sanitizer, co.kind, co.name
-            for t, kk in zip(whens.tolist(), keys.tolist()):
-                san.on_step_logical(t, kk >> PRIO_SHIFT, kk & SEQ_MASK,
-                                    kind, name)
-        self.now = float(whens[-1])
-        self.events_dispatched += k
-        co.fired += k
-        # Distinct timestamps in a sorted array = cohort count.
-        # sim-lint: disable=DET104 -- exact equality defines cohort membership
-        self.cohorts_dispatched += 1 + int(
-            np.count_nonzero(whens[1:] != whens[:-1]))
-
-    def _dispatch_logical_bulk(self, spans: List[tuple]) -> None:
-        """Retire an order-insensitive union of interleaved logical spans.
-
-        Only reachable with the sanitizer off: logical wakeups have no
-        callbacks and no per-event observer, so the union of every
-        logical entry before the next non-logical event can be retired
-        in one sweep — the observable state (clock, fired counts,
-        dispatch counters) is identical to interleaved dispatch."""
-        total = 0
-        t_end = self.now
-        live_whens = []
-        for whens, keys, co in spans:
-            mask = co._cancelled
-            if mask is not None:
-                whens = whens[~mask[(keys & SEQ_MASK) - co.seq0]]
-            k = len(whens)
-            if k == 0:
-                continue
-            if whens[0] < self.now:
-                raise SimulationError("time went backwards")
-            co.fired += k
-            total += k
-            live_whens.append(whens)
-            last = float(whens[-1])
-            if last > t_end:
-                t_end = last
-        if total == 0:
-            return
-        self.now = t_end
-        self.events_dispatched += total
-        merged = (live_whens[0] if len(live_whens) == 1
-                  else np.sort(np.concatenate(live_whens)))
-        # sim-lint: disable=DET104 -- exact equality defines cohort membership
-        self.cohorts_dispatched += 1 + int(
-            np.count_nonzero(merged[1:] != merged[:-1]))
-
-    def step_cohort(self) -> int:
-        """Dispatch every event at the next pending timestamp.
-
-        Returns the number of events processed (same-time events
-        scheduled during the cohort are part of it).  Raises
-        :class:`SimulationError` when nothing live is scheduled.
-        """
-        n0 = self.events_dispatched
-        if self._now_heap:
-            self._drain_now()
-            return self.events_dispatched - n0
-        while True:
-            if not self._calendar:
-                raise SimulationError("step_cohort() on an empty schedule")
-            t = self._calendar.min_time()
-            seg = self._calendar.peek_sole_segment_run(t)
-            if seg is not None and seg.events is None:
-                self._dispatch_logical_run(t)
-            else:
-                self._load_cohort()
-                self._drain_now()
-            if self.events_dispatched > n0:
-                return self.events_dispatched - n0
-            # All-tombstone cohort: keep looking.
-
     # ------------------------------------------------------------------
     # Run loops
     # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None) -> None:
         """Run until the schedule drains or simulated time passes *until*.
 
-        If *until* is given, ``now`` is advanced to exactly *until* when
-        the horizon is reached (even if no event falls on it).  The
-        horizon check is tolerance-free and cohort-atomic: a cohort at
-        exactly ``until`` is dispatched in full — events at one
-        timestamp are never split across the horizon.
+        If *until* is given it must be finite, and ``now`` is advanced
+        to exactly *until* when the horizon is reached (even if no event
+        falls on it).  The horizon check is tolerance-free and inclusive:
+        every event at exactly ``until`` is dispatched, including events
+        that those events schedule for the same instant.
         """
-        if until is not None and until < self.now:
-            raise ValueError(f"until={until} is in the past (now={self.now})")
-        cal = self._calendar
-        while True:
-            if self._now_heap:
-                self._drain_now()
-                continue
-            if not cal:
-                break
-            t = cal.min_time()
-            if until is not None and t > until:
-                self.now = until
-                return
-            limit = float("inf") if until is None else until
-            if self.sanitizer is None and cal.width() <= _BULK_WIDTH:
-                spans = cal.pop_logical_bulk(limit)
-                if spans is not None:
-                    self._dispatch_logical_bulk(spans)
-                    continue
-            else:
-                span = cal.pop_logical_prefix(limit)
-                if span is not None:
-                    self._dispatch_logical_span(*span)
-                    continue
-            self._load_cohort()
+        if until is not None:
+            if not -_INF < until < _INF:
+                raise ValueError(f"until={until!r} is not a finite time")
+            if until < self.now:
+                raise ValueError(
+                    f"until={until} is in the past (now={self.now})")
+        heap = self._heap
+        while heap and (until is None or heap[0][0] <= until):
+            self.step()
         if until is not None:
             self.now = until
 
@@ -740,9 +347,17 @@ class Simulator:
         ``while not done.triggered: sim.step(); check()`` pattern.
         *each_event* (e.g. actor-failure and time-budget checks) runs
         after every dispatched event, preserving the seed loops'
-        per-event check granularity bit for bit.
+        per-event check granularity bit for bit.  Raises
+        :class:`SimulationError` if the schedule drains first (a
+        deadlock).
         """
+        heap = self._heap
         while not event.triggered:
+            if not heap:
+                raise SimulationError(
+                    f"deadlock: schedule drained before the awaited "
+                    f"{type(event).__name__} triggered"
+                    f"{self._deadlock_dump()}")
             self.step()
             if each_event is not None:
                 each_event()
@@ -758,7 +373,7 @@ class Simulator:
         if not isinstance(proc, Process):
             proc = self.process(proc)
         while proc.is_alive:
-            if not (self._now_heap or self._calendar):
+            if not self._heap:
                 raise SimulationError(
                     f"deadlock: schedule drained but {proc.name!r} is "
                     f"alive{self._deadlock_dump()}"
@@ -776,7 +391,7 @@ class Simulator:
         """Run until every process in *processes* has terminated."""
         procs = list(processes)
         while any(p.is_alive for p in procs):
-            if not (self._now_heap or self._calendar):
+            if not self._heap:
                 alive = [p.name for p in procs if p.is_alive]
                 raise SimulationError(
                     f"deadlock: processes still alive: {alive}"
@@ -785,22 +400,3 @@ class Simulator:
         for p in procs:
             if not p.ok:
                 raise p._value
-
-
-class _LogicalSingleton:
-    """A single logical wakeup routed as a calendar singleton.
-
-    Batch arming normally produces a segment, but a batch whose future
-    part is one entry degrades to a singleton push; this shim keeps the
-    (event is None ⇒ logical) dispatch convention without allocating a
-    segment.
-    """
-
-    __slots__ = ("cohort", "key")
-
-    #: Logical entries cannot be tombstoned through the Event API.
-    _cancelled = False
-
-    def __init__(self, cohort: WakeupCohort, key: int) -> None:
-        self.cohort = cohort
-        self.key = key

@@ -11,10 +11,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Iterable, Optional
 
-import numpy as np
-
 from repro.errors import SimulationError
-from repro.simcore.engine import NORMAL, Event, Simulator
+from repro.simcore.engine import Event, Simulator
 
 
 def _race_detector(sim: Simulator) -> Optional[Any]:
@@ -160,10 +158,10 @@ class Store:
 
         Trace-digest-identical to ``[self.put(it) for it in items]``:
         while consumers are blocked the hand-offs interleave getter,
-        putter, getter, putter …; the remaining accepted items are then
-        batch-scheduled with consecutive sequence numbers — exactly the
-        stream N sequential ``put`` calls produce, at one engine call.
-        Items past capacity park as blocked putters (events pending).
+        putter, getter, putter …; the remaining accepted items then
+        succeed one by one, with consecutive sequence numbers — exactly
+        the stream N sequential ``put`` calls produce.  Items past
+        capacity park as blocked putters (events pending).
         """
         items = list(items)
         evs: list = []
@@ -180,20 +178,9 @@ class Store:
         room = self.capacity - len(self.items)
         k = len(rest) if room >= len(rest) else max(0, int(room))
         accepted, blocked = rest[:k], rest[k:]
-        if accepted:
-            batch = [Event(self.sim) for _ in accepted]
-            scheduler = getattr(self.sim, "_schedule_batch", None)
-            if scheduler is not None and len(batch) > 1:
-                for ev in batch:
-                    ev._ok = True
-                    ev._value = None
-                scheduler(batch, NORMAL,
-                          np.zeros(len(batch), dtype=np.float64))
-            else:
-                for ev in batch:
-                    ev.succeed(None)
-            self.items.extend(accepted)
-            evs.extend(batch)
+        for _ in accepted:
+            evs.append(Event(self.sim).succeed(None))
+        self.items.extend(accepted)
         for item in blocked:
             ev = Event(self.sim)
             self._putters.append((ev, item))

@@ -290,18 +290,15 @@ class AsyncRing:
         return self.sim.timeout(max(0.0, last - self.sim.now),
                                 value=completion_times)
 
-    def drain_cohort(self, completion_times: np.ndarray,
-                     kind: str = "Cqe", name: str = ""):
-        """Deliver a whole completion cohort as logical wakeups.
+    def drain_cohort(self, completion_times: np.ndarray) -> List[Timeout]:
+        """Deliver a completion cohort as one timeout per CQE.
 
-        One calendar insert arms one clock tick per CQE
-        (:meth:`Simulator.schedule_wakeups`) — the fused SSD→ring
-        delivery path: CQE-granular simulated time without one Python
-        event per request.  The wakeups carry no callbacks; pair with
-        :meth:`drain_wait` when a process must block on the batch.
-        Returns the :class:`~repro.simcore.WakeupCohort` handle.
+        Each completion becomes a :class:`~repro.simcore.Timeout` firing
+        at its own completion time (never before now): CQE-granular
+        clock ticks.  Pair with :meth:`drain_wait` when a process must
+        block on the batch.  Returns the timeouts in array order.
         """
         delays = np.maximum(
             np.asarray(completion_times, dtype=np.float64) - self.sim.now,
             0.0)
-        return self.sim.schedule_wakeups(delays, kind=kind, name=name)
+        return [self.sim.timeout(d) for d in delays.tolist()]

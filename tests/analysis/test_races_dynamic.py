@@ -133,6 +133,30 @@ def test_resource_ab_ba_deadlock_dump():
     assert det.deadlocks_reported
 
 
+def test_run_until_triggered_deadlock_names_the_cycle():
+    """The epoch loop of every system must report a drained schedule
+    as a deadlock with the wait-for cycle, like ``drain`` does."""
+    sim, det = _armed_sim()
+    a = Resource(sim, 1, "lockA")
+    b = Resource(sim, 1, "lockB")
+
+    def grab(first, second):
+        yield first.request()
+        yield sim.timeout(1.0)
+        yield second.request()
+        second.release()
+        first.release()
+
+    sim.process(grab(a, b), name="p1")
+    sim.process(grab(b, a), name="p2")
+    with pytest.raises(SimulationError, match="deadlock") as exc:
+        sim.run_until_triggered(sim.event())
+    msg = str(exc.value)
+    assert "wait-for cycle" in msg
+    assert "p1" in msg and "p2" in msg
+    assert "lockA" in msg and "lockB" in msg
+
+
 def test_store_mutual_wait_deadlock_dump():
     sim, det = _armed_sim()
     q1 = Store(sim, name="q1")

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import math
+
 import pytest
 
 from repro.errors import InterruptError, SimulationError
@@ -21,6 +23,26 @@ def test_timeout_rejects_negative_delay():
     sim = Simulator()
     with pytest.raises(ValueError):
         sim.timeout(-1)
+
+
+@pytest.mark.parametrize("delay", [math.nan, math.inf, -math.inf])
+def test_timeout_rejects_non_finite_delay(delay):
+    sim = Simulator()
+    with pytest.raises(ValueError, match="finite"):
+        sim.timeout(delay)
+    assert sim.peek() == math.inf      # nothing was scheduled
+
+
+@pytest.mark.parametrize("until", [math.nan, math.inf])
+def test_run_until_rejects_non_finite_horizon(until):
+    sim = Simulator()
+    fired = []
+    sim.timeout(1.0).callbacks.append(lambda ev: fired.append(sim.now))
+    with pytest.raises(ValueError, match="finite"):
+        sim.run(until=until)
+    assert fired == [] and sim.now == 0.0
+    sim.run()
+    assert fired == [1.0]
 
 
 def test_process_return_value():
@@ -232,6 +254,14 @@ def test_run_process_detects_deadlock():
 
     with pytest.raises(SimulationError, match="deadlock"):
         sim.run_process(stuck(sim))
+
+
+def test_run_until_triggered_detects_deadlock():
+    sim = Simulator()
+    sim.timeout(1.0)
+    with pytest.raises(SimulationError, match="deadlock"):
+        sim.run_until_triggered(sim.event())
+    assert sim.now == 1.0
 
 
 def test_same_time_events_fire_in_schedule_order():

@@ -1,129 +1,18 @@
-"""Batched-engine surface: cohort dispatch, vectorized arming, fused
-completion delivery, and the tolerance-free run horizon.
+"""Engine edge cases pinned against the reference heap loop: the
+tolerance-free run horizon and ``Store.put_many``'s event stream.
 
-The bit-identity of the batched engine against the seed heap loop is
-covered by the golden traces and the hypothesis property tests
-(``test_engine_property.py``); these tests pin the *new* API surface
-and the cohort-semantics edge cases directly.
+The bit-identity of the engine against the reference loop over random
+schedules is covered by the golden traces and the hypothesis property
+tests (``test_engine_property.py``).
 """
 
-import numpy as np
-import pytest
-
-from repro.errors import SimulationError
+from repro.analysis.sanitizer import SimSanitizer
 from repro.simcore import Simulator, Store
-from repro.simcore.refengine import Simulator as RefSimulator
+from tests.simcore.refengine import Simulator as RefSimulator
 
 
 # ----------------------------------------------------------------------
-# Vectorized arming
-# ----------------------------------------------------------------------
-def test_timeouts_batch_fires_in_delay_order():
-    sim = Simulator()
-    seen = []
-    ts = sim.timeouts([3.0, 1.0, 2.0], values=["c", "a", "b"])
-    for t in ts:
-        t.callbacks.append(lambda ev: seen.append(ev.value))
-    sim.run()
-    assert seen == ["a", "b", "c"]
-    assert sim.now == 3.0
-
-
-def test_timeouts_rejects_negative_delay():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        sim.timeouts([1.0, -0.5])
-
-
-def test_timeout_cancel_suppresses_dispatch():
-    sim = Simulator()
-    fired = []
-    keep, drop = sim.timeouts([1.0, 1.0])
-    keep.callbacks.append(lambda ev: fired.append("keep"))
-    drop.callbacks.append(lambda ev: fired.append("drop"))
-    assert drop.cancel() is True
-    assert drop.cancel() is False      # second cancel is a no-op
-    sim.run()
-    assert fired == ["keep"]
-    assert keep.cancel() is False      # already processed
-
-
-def test_schedule_wakeups_cohort_counts():
-    sim = Simulator()
-    cohort = sim.schedule_wakeups(np.array([1.0, 1.0, 2.0, 2.0, 2.0]))
-    assert cohort.count == 5
-    sim.run()
-    assert cohort.fired == 5
-    assert sim.now == 2.0
-    assert sim.events_dispatched == 5
-
-
-def test_wakeup_cohort_cancel_is_lazy_and_indexed():
-    sim = Simulator()
-    cohort = sim.schedule_wakeups(np.full(4, 1.0))
-    assert cohort.cancel(1) is True
-    assert cohort.cancel(1) is False   # already tombstoned
-    with pytest.raises(IndexError):
-        cohort.cancel(7)
-    sim.run()
-    assert cohort.fired == 3
-    assert sim.events_dispatched == 3
-
-
-def test_all_cancelled_cohort_never_advances_clock():
-    sim = Simulator()
-    cohort = sim.schedule_wakeups(np.full(3, 5.0))
-    for i in range(3):
-        cohort.cancel(i)
-    sim.timeout(1.0)
-    sim.run()
-    # The tombstoned wakeups at t=5 must not drag the clock forward.
-    assert sim.now == 1.0
-    assert cohort.fired == 0
-
-
-# ----------------------------------------------------------------------
-# Cohort dispatch
-# ----------------------------------------------------------------------
-def test_step_cohort_retires_one_timestamp():
-    sim = Simulator()
-    sim.timeouts([1.0, 1.0, 1.0, 2.0])
-    assert sim.step_cohort() == 3
-    assert sim.now == 1.0
-    assert sim.step_cohort() == 1
-    assert sim.now == 2.0
-    with pytest.raises(SimulationError):
-        sim.step_cohort()
-
-
-def test_step_cohort_includes_same_time_cascades():
-    sim = Simulator()
-    fired = []
-
-    def chain(sim):
-        yield sim.timeout(1.0)
-        fired.append("a")
-        yield sim.timeout(0.0)     # same-timestamp cascade
-        fired.append("b")
-
-    sim.process(chain(sim))
-    sim.step_cohort()              # boot event at t=0
-    n = sim.step_cohort()          # everything at t=1, cascade included
-    assert fired == ["a", "b"]
-    assert n >= 2
-    assert sim.now == 1.0
-
-
-def test_step_on_only_tombstones_raises_empty():
-    sim = Simulator()
-    t = sim.timeout(1.0)
-    t.cancel()
-    with pytest.raises(SimulationError, match="empty schedule"):
-        sim.step()
-
-
-# ----------------------------------------------------------------------
-# run(until): tolerance-free, cohort-atomic horizon
+# run(until): tolerance-free, inclusive horizon
 # ----------------------------------------------------------------------
 def test_run_until_dispatches_cohort_exactly_at_horizon():
     """Regression: the horizon check must never split a same-timestamp
@@ -165,52 +54,58 @@ def test_run_until_matches_reference_engine():
     for until in (0.5, 1.0, 1.5, 2.0):
         sims = (Simulator(), RefSimulator())
         for sim in sims:
-            sim.timeouts([1.0, 1.0, 2.0])
-            sim.schedule_wakeups(np.array([0.5, 1.0, 1.75]))
+            for delay in (1.0, 1.0, 2.0, 0.5, 1.0, 1.75):
+                sim.timeout(delay)
             sim.run(until=until)
         assert sims[0].now == sims[1].now
         assert sims[0].events_dispatched == sims[1].events_dispatched
 
 
 # ----------------------------------------------------------------------
-# Fused delivery building blocks
+# Store.put_many
 # ----------------------------------------------------------------------
-def test_wakeup_spans_interleave_with_real_events():
-    """Interleaved logical cohorts and real timeouts must retire in
-    global time order whether the bulk sweep or the cohort path runs."""
-    sim = Simulator()
-    order = []
-    a = sim.schedule_wakeups(np.array([1.0, 3.0, 5.0]), kind="Cqe")
-    b = sim.schedule_wakeups(np.array([2.0, 4.0, 6.0]), kind="Arrival")
-    mid = sim.timeout(3.5)
-    mid.callbacks.append(lambda ev: order.append(("real", sim.now)))
+def _put_program(sim, many):
+    """A producer hands 8 items to a capacity-4 store that a consumer
+    drains, then waits on each put event in order."""
+    store = Store(sim, capacity=4)
+    got = []
+    acked = []
+
+    def consumer():
+        for _ in range(8):
+            item = yield store.get()
+            got.append(item)
+
+    def producer():
+        yield sim.timeout(1.0)
+        if many:
+            evs = store.put_many(range(8))  # blocks at capacity
+        else:
+            evs = [store.put(item) for item in range(8)]
+        for i, ev in enumerate(evs):
+            yield ev
+            acked.append((i, sim.now))
+
+    procs = [sim.process(consumer()), sim.process(producer())]
     sim.run()
-    assert a.fired == 3 and b.fired == 3
-    assert order == [("real", 3.5)]
-    assert sim.now == 6.0
-    assert sim.events_dispatched == 7
+    assert not any(p.is_alive for p in procs)
+    return got, acked
 
 
 def test_put_many_matches_per_event_reference():
-    """Store.put_many must produce the identical event stream the seed's
-    one-put-per-item loop produced (same seq numbers, same order)."""
+    """Store.put_many must produce the identical event stream that one
+    put per item produces (same seq numbers, same order), on this
+    engine and on the reference loop."""
     outcomes = []
-    for sim in (Simulator(), RefSimulator()):
-        store = Store(sim, capacity=4)
-        got = []
-
-        def consumer(sim=sim, store=store, got=got):
-            for _ in range(8):
-                item = yield store.get()
-                got.append(item)
-
-        def producer(sim=sim, store=store):
-            yield sim.timeout(1.0)
-            store.put_many(range(8))   # blocks at capacity, then drains
-
-        procs = [sim.process(consumer()), sim.process(producer())]
-        sim.run()
-        assert not any(p.is_alive for p in procs)
-        outcomes.append((got, sim.now, sim.events_dispatched))
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][0] == list(range(8))
+    for sim_cls in (Simulator, RefSimulator):
+        for many in (True, False):
+            sim = sim_cls()
+            san = SimSanitizer(strict=True, trace=True)
+            sim.sanitizer = san
+            got, acked = _put_program(sim, many)
+            outcomes.append((got, acked, sim.now, sim.events_dispatched,
+                             san.trace_digest()))
+    assert all(o == outcomes[0] for o in outcomes[1:])
+    got, acked = outcomes[0][:2]
+    assert got == list(range(8))
+    assert [i for i, _ in acked] == list(range(8))
