@@ -365,14 +365,8 @@ class Ginex(TrainingSystem):
             hits0, miss0 = m.page_cache.hits, m.page_cache.misses
             f0 = m.fault_counters()
             done = sim.event()
-            proc = sim.process(self._epoch_proc(done), name="ginex-epoch")
-
-            def _audit_proc():
-                self.check_time_budget(time_budget)
-                if not proc.is_alive and not proc.ok:
-                    raise proc._value
-
-            sim.run_until_triggered(done, each_event=_audit_proc)
+            sim.process(self._epoch_proc(done), name="ginex-epoch")
+            sim.run_until_triggered(done, until=time_budget)
             m.sanitize_epoch_end()
 
             num_batches = self.plan.num_batches

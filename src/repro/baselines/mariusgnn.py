@@ -265,14 +265,8 @@ class MariusGNN(TrainingSystem):
             feat0 = m.ssd.read_bytes_for(self.dataset.feat_handle.name)
             f0 = m.fault_counters()
             done = sim.event()
-            proc = sim.process(self._epoch_proc(epoch, done), name="marius")
-
-            def _audit_proc():
-                self.check_time_budget(time_budget)
-                if not proc.is_alive and not proc.ok:
-                    raise proc._value
-
-            sim.run_until_triggered(done, each_event=_audit_proc)
+            sim.process(self._epoch_proc(epoch, done), name="marius")
+            sim.run_until_triggered(done, until=time_budget)
             m.sanitize_epoch_end()
 
             stats = EpochStats(

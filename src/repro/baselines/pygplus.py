@@ -181,15 +181,9 @@ class PyGPlus(TrainingSystem):
             self.pending_q.put_many(
                 (epoch, batch_id, seeds)
                 for batch_id, seeds in enumerate(batches))
-            main = sim.process(self._main_loop(epoch, len(batches), done),
-                               name="pyg-main")
-
-            def _audit_main():
-                self.check_time_budget(time_budget)
-                if not main.is_alive and not main.ok:
-                    raise main._value  # propagate OOM etc.
-
-            sim.run_until_triggered(done, each_event=_audit_main)
+            sim.process(self._main_loop(epoch, len(batches), done),
+                        name="pyg-main")
+            sim.run_until_triggered(done, until=time_budget)
             m.sanitize_epoch_end()
 
             stats = EpochStats(

@@ -2,7 +2,6 @@
 
 Subcommands::
 
-    python -m repro.bench hotpath [-o BENCH_hotpath.json]
     python -m repro.bench determinism [-o BENCH_determinism.json]
     python -m repro.bench faults [-o BENCH_faults.json] [--plan plan.json]
     python -m repro.bench oracle [-o BENCH_oracle.json] [--fuzz N] [--regen]
@@ -14,9 +13,8 @@ Subcommands::
         [--fail-on-regression] [--threshold PCT] [--alpha A] \
         [--gate-kinds KIND,...] [--report FILE.md]
 
-``hotpath`` runs the data-plane microbenchmarks (vectorized vs. seed
-reference implementations); ``determinism`` replays every system twice
-under the runtime sanitizer and diffs the event traces (see
+``determinism`` replays every system twice under the runtime
+sanitizer and diffs the event traces (see
 :mod:`repro.bench.determinism`); ``faults`` chaos-runs every system
 under a deterministic fault plan and checks the recovery runtime
 survives it (see :mod:`repro.bench.faults`); ``oracle`` checks the
@@ -68,13 +66,6 @@ def main(argv=None) -> int:
         prog="python -m repro.bench",
         description="repro benchmark entry points")
     sub = parser.add_subparsers(dest="command", required=True)
-    hp = sub.add_parser(
-        "hotpath",
-        help="data-plane microbenchmarks (writes BENCH_hotpath.json)")
-    hp.add_argument("-o", "--output", default="BENCH_hotpath.json",
-                    help="output JSON path (default: %(default)s)")
-    hp.add_argument("--quiet", action="store_true",
-                    help="suppress the per-bench table")
     det = sub.add_parser(
         "determinism",
         help="replay systems twice under the sanitizer and diff traces")
@@ -167,7 +158,7 @@ def main(argv=None) -> int:
                          "(default: REPRO_BENCH_RUNS or 5)")
     rc.add_argument("--quiet", action="store_true",
                     help="suppress the per-run lines")
-    for p in (hp, det, flt, orc, srv, cs, cl):
+    for p in (det, flt, orc, srv, cs, cl):
         _add_runs(p)
     cp = sub.add_parser(
         "compare",
@@ -198,11 +189,6 @@ def main(argv=None) -> int:
     if args.command == "compare":
         return run_compare(args)
 
-    if args.command == "hotpath":
-        from repro.bench.hotpath import run_hotpath
-        artifact = run_hotpath(output=args.output, verbose=not args.quiet,
-                               runs=args.runs)
-        return 0 if artifact["targets_met"] else 1
     if args.command == "determinism":
         from repro.bench.determinism import DEFAULT_SYSTEMS, run_determinism
         artifact = run_determinism(

@@ -112,27 +112,28 @@ def _restore_num(value: Any) -> Any:
 def load_artifact(path: str) -> dict:
     """Read a bench artifact back, restoring numeric metric fields.
 
-    Works on both enriched artifacts (the ``stats`` block's metric
-    entries get their ``"nan"`` / ``"inf"`` strings converted back to
-    floats) and pre-stats single-shot artifacts (returned as-is for the
-    legacy adapters in :mod:`repro.bench.stats`).
+    The ``stats`` block's metric entries get their ``"nan"`` / ``"inf"``
+    strings converted back to floats.  Raises :class:`ValueError` when
+    the file holds no ``stats.metrics`` mapping, so ``compare`` never
+    passes an artifact it has nothing to compare in.
     """
     with open(path) as f:
         doc = json.load(f)
     if not isinstance(doc, dict):
         raise ValueError(f"not a bench artifact: {path!r} does not hold "
                          "a JSON object")
-    stats = doc.get("stats")
-    if isinstance(stats, dict) and isinstance(stats.get("metrics"), dict):
-        for metric in stats["metrics"].values():
-            if not isinstance(metric, dict):
-                continue
-            for field in _METRIC_NUMERIC_FIELDS:
-                if field in metric:
-                    metric[field] = _restore_num(metric[field])
-            if isinstance(metric.get("samples"), list):
-                metric["samples"] = [_restore_num(s)
-                                     for s in metric["samples"]]
+    if not has_stats(doc):
+        raise ValueError(f"not a bench artifact: {path!r} has no "
+                         "stats.metrics block")
+    for metric in doc["stats"]["metrics"].values():
+        if not isinstance(metric, dict):
+            continue
+        for field in _METRIC_NUMERIC_FIELDS:
+            if field in metric:
+                metric[field] = _restore_num(metric[field])
+        if isinstance(metric.get("samples"), list):
+            metric["samples"] = [_restore_num(s)
+                                 for s in metric["samples"]]
     return doc
 
 
@@ -144,7 +145,7 @@ def has_stats(doc: dict) -> bool:
 
 
 def stats_metrics(doc: dict) -> Optional[Dict[str, dict]]:
-    """The ``stats.metrics`` mapping, or None for legacy artifacts."""
+    """The ``stats.metrics`` mapping, or None when *doc* has none."""
     return doc["stats"]["metrics"] if has_stats(doc) else None
 
 

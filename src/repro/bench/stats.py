@@ -596,87 +596,13 @@ def compare_metric(name: str, old: Mapping, new: Mapping,
     return cmp
 
 
-# -- legacy (pre-stats) artifact adapters ------------------------------
-def _legacy_metric(value, spec: MetricSpec) -> Dict:
-    m = summarize([_num(value)], spec)
-    return m
-
-
-def legacy_metrics(doc: Mapping) -> Dict[str, Dict]:
-    """Derive single-sample metrics from a pre-stats ``BENCH_*.json``.
-
-    Old artifacts carried one number per quantity; each becomes an
-    ``n=1`` metric so ``compare`` can still run (in threshold-only
-    degraded mode) instead of crashing on the missing ``stats`` block.
-    """
-    metrics: Dict[str, Dict] = {}
-    # hotpath: {"benches": [{"name", "speedup", ...}], ...}
-    for bench in doc.get("benches") or []:
-        name = bench.get("name", "bench")
-        if "speedup" in bench:
-            metrics[f"{name}.speedup"] = _legacy_metric(
-                bench["speedup"], RATIO_UP)
-        if "vectorized_s" in bench:
-            metrics[f"{name}.vectorized_s"] = _legacy_metric(
-                bench["vectorized_s"], WALL_S)
-        if "reference_s" in bench:
-            metrics[f"{name}.reference_s"] = _legacy_metric(
-                bench["reference_s"], WALL_S)
-    # faults / determinism: {"systems": [{"system", ...}]}
-    for sysrep in doc.get("systems") or []:
-        if not isinstance(sysrep, Mapping):
-            continue
-        sysname = sysrep.get("system", "system")
-        ledger = sysrep.get("ledger") or {}
-        for key in ("injected", "recovered", "dropped"):
-            if key in ledger:
-                metrics[f"{sysname}.{key}"] = _legacy_metric(
-                    ledger[key], COUNT_INFO)
-        times = [_num(t) for t in sysrep.get("epoch_times") or []]
-        if times:
-            metrics[f"{sysname}.epoch_time_s"] = _legacy_metric(
-                float(np.mean(times)), SIM_S)
-    # serve: {"saturation": {"async", "sync", "ratio"}}
-    sat = doc.get("saturation")
-    if isinstance(sat, Mapping):
-        for key, spec in (("async", SIM_RATE), ("sync", SIM_RATE),
-                          ("ratio", RATIO_UP)):
-            if key in sat:
-                metrics[f"saturation.{key}"] = _legacy_metric(
-                    sat[key], spec)
-    # chaos_serve: {"gates": {"hedged_p99", "unhedged_p99", ...}}
-    gates = doc.get("gates")
-    if isinstance(gates, Mapping):
-        for key in ("hedged_p99", "unhedged_p99"):
-            if key in gates:
-                metrics[f"{key}_s"] = _legacy_metric(gates[key], SIM_S)
-    # races: {"overhead": {"overhead_ratio", ...}}
-    overhead = doc.get("overhead")
-    if isinstance(overhead, Mapping) and "overhead_ratio" in overhead:
-        metrics["overhead_ratio"] = _legacy_metric(
-            overhead["overhead_ratio"], RATIO_DOWN)
-    # oracle: violation counts per layer.
-    for layer in ("matrix", "fuzz"):
-        rep = doc.get(layer)
-        if isinstance(rep, Mapping) and "violations" in rep:
-            metrics[f"{layer}.violations"] = _legacy_metric(
-                len(rep["violations"]), COUNT_BAD)
-    return metrics
-
-
 def extract_metrics(doc: Mapping) -> Tuple[Dict[str, Dict], List[str]]:
     """An artifact's metrics plus any degradation warnings."""
     stats = doc.get("stats")
     if isinstance(stats, Mapping) and isinstance(stats.get("metrics"),
                                                  Mapping):
         return dict(stats["metrics"]), []
-    metrics = legacy_metrics(doc)
-    if not metrics:
-        return {}, ["artifact has no stats block and no recognizable "
-                    "legacy metrics"]
-    return metrics, ["no-variance baseline: artifact predates the stats "
-                     "schema; derived single-shot metrics, "
-                     "threshold-only comparison"]
+    return {}, ["artifact has no stats block"]
 
 
 @dataclass

@@ -24,8 +24,8 @@ Commands
     hash routing, scatter-gather fan-out, hedged reads, shard faults)
     and print cluster latency/goodput stats.
 ``bench``
-    Pass-through to ``python -m repro.bench`` (hotpath, determinism,
-    faults, oracle, serve, races).
+    Pass-through to ``python -m repro.bench`` (determinism, faults,
+    oracle, serve, chaos_serve, cluster, races, compare).
 ``lint``
     The determinism linter (DET1xx) and static race analysis (RACE2xx)
     over the source tree (also available as ``python -m repro.lint``).
@@ -540,7 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "bench", help="benchmark suites (python -m repro.bench ...)",
         description="Pass-through to the benchmark entry points: "
-                    "hotpath, determinism, faults, oracle, serve.")
+                    "determinism, faults, oracle, serve, chaos_serve, "
+                    "cluster, races, compare.")
     p.add_argument("bench_args", nargs=argparse.REMAINDER,
                    help="arguments forwarded to python -m repro.bench")
     p.set_defaults(fn=cmd_bench)

@@ -23,7 +23,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.stats import EpochStats
-from repro.errors import OutOfTimeError
 from repro.graph.datasets import DiskDataset
 from repro.machine import Machine
 from repro.models import Adam, make_model
@@ -166,10 +165,6 @@ class TrainingSystem:
                         self.dataset.features.features, nodes,
                         self.dataset.labels, batch_size=256)
 
-    def check_time_budget(self, budget: Optional[float]) -> None:
-        if budget is not None and self.machine.sim.now > budget:
-            raise OutOfTimeError(budget)
-
     # ------------------------------------------------------------------
     def run_epochs(self, num_epochs: int,
                    target_accuracy: Optional[float] = None,
@@ -178,8 +173,9 @@ class TrainingSystem:
         """Train for *num_epochs* (or until *target_accuracy*).
 
         Returns one :class:`EpochStats` per completed epoch.  Raises
-        :class:`OutOfTimeError` when *time_budget* (simulated seconds)
-        is exceeded and :class:`OutOfMemoryError` on budget violations.
+        :class:`OutOfTimeError` instead of dispatching an event past
+        *time_budget* (simulated seconds), :class:`OutOfMemoryError` on
+        memory-budget violations, and any actor's unhandled exception.
         """
         raise NotImplementedError
 

@@ -530,12 +530,6 @@ class GNNDrive(TrainingSystem):
                                                 name=f"releaser{i}"))
         self._started = True
 
-    def _check_actors(self) -> None:
-        """Re-raise any actor's unhandled exception (e.g. device OOM)."""
-        for p in self._actors:
-            if not p.is_alive and not p.ok:
-                raise p._value
-
     def run_epochs(self, num_epochs: int,
                    target_accuracy: Optional[float] = None,
                    time_budget: Optional[float] = None,
@@ -565,8 +559,7 @@ class GNNDrive(TrainingSystem):
                 (epoch, batch_id, seeds)
                 for batch_id, seeds in enumerate(batches))
             # Drive the simulation until the trainer finishes the epoch.
-            m.sim.run_until_triggered(done, each_event=lambda: (
-                self.check_time_budget(time_budget), self._check_actors()))
+            m.sim.run_until_triggered(done, until=time_budget)
             m.sanitize_epoch_end()
 
             stats = EpochStats(

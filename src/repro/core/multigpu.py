@@ -223,15 +223,10 @@ class MultiGPUGNNDrive(TrainingSystem):
                     (epoch, batch_id, seeds)
                     for batch_id, seeds in enumerate(batches))
 
-            def _audit_workers():
-                self.check_time_budget(time_budget)
-                for w in self.workers:
-                    w._check_actors()
-
             # Equivalent to `while not all(d.triggered): step()` — a
             # done event already triggered makes its wait a no-op.
             for d in dones:
-                m.sim.run_until_triggered(d, each_event=_audit_workers)
+                m.sim.run_until_triggered(d, until=time_budget)
             m.sanitize_epoch_end()
             for w in self.workers:
                 agg.sample += w._stage.sample

@@ -299,14 +299,9 @@ class InferenceServer:
             for req in job.requests:
                 self._complete_request(req, now)
 
-    def _check_actors(self) -> None:
-        for p in self._actors:
-            if not p.is_alive and not p.ok:
-                raise p._value
-
     def watch_actor(self, proc) -> None:
         """Adopt a late-spawned process (replica restarts, hedges) into
-        the failure-propagation and shutdown-drain set."""
+        the shutdown-drain set."""
         self._actors.append(proc)
 
     # ------------------------------------------------------------------
@@ -344,7 +339,7 @@ class InferenceServer:
             self._actors.extend(self.resilience.actors())
         self._started = True
 
-        sim.run_until_triggered(self._done, each_event=self._check_actors)
+        sim.run_until_triggered(self._done)
         duration = sim.now - t_start
 
         # Shed requests at the queue were resolved by their issuers;

@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from repro.errors import InterruptError, SimulationError
+from repro.errors import InterruptError, OutOfTimeError, SimulationError
 
 #: Sentinel for "this event has not been triggered yet".
 PENDING = object()
@@ -126,9 +126,10 @@ class Process(Event):
     """A running generator coroutine.
 
     The process object doubles as an event that triggers when the generator
-    terminates: its value is the generator's return value (or the unhandled
-    exception, if the generator raised and nobody waits on the process the
-    exception propagates out of :meth:`Simulator.run`).
+    terminates: its value is the generator's return value, or the
+    unhandled exception if the generator raised.  Waiters get that
+    exception thrown into them; a failure nobody waits on is raised out
+    of :meth:`Simulator.run_until_triggered`.
     """
 
     __slots__ = ("gen", "name", "_wait_token", "_waiting_on")
@@ -193,6 +194,10 @@ class Process(Event):
         # sim-lint: disable=DET105 -- exceptions become the process event's value
         except BaseException as exc:
             sim._active_process = None
+            if not self.callbacks:
+                # Nobody waits on this process: record the death for
+                # run_until_triggered to raise after this step.
+                sim._unobserved_failure = exc
             self.fail(exc)
             return
         sim._active_process = None
@@ -236,6 +241,8 @@ class Simulator:
         self._heap: list = []
         self._seq = 0
         self._active_process: Optional[Process] = None
+        #: Exception of the latest process that died with no waiter.
+        self._unobserved_failure: Optional[BaseException] = None
         #: Optional :class:`repro.analysis.SimSanitizer`; when None (the
         #: default) the hooks below cost one pointer test per operation.
         self.sanitizer = None
@@ -339,30 +346,46 @@ class Simulator:
             self.now = until
 
     def run_until_triggered(self, event: Event,
-                            each_event: Optional[Callable[[], None]] = None
-                            ) -> None:
+                            until: Optional[float] = None) -> None:
         """Step until *event* has triggered.
 
-        The canonical driver epoch loop: replaces the hand-rolled
-        ``while not done.triggered: sim.step(); check()`` pattern.
-        *each_event* (e.g. actor-failure and time-budget checks) runs
-        after every dispatched event, preserving the seed loops'
-        per-event check granularity bit for bit.  Raises
-        :class:`SimulationError` if the schedule drains first (a
+        The canonical driver epoch loop.  Two rules end it early:
+
+        * a process that dies while nothing waits on it has its
+          exception raised right after the step in which it died, before
+          any later event (even one at the same instant) can trigger
+          *event*;
+        * with *until* given, an event scheduled past it is not
+          dispatched: :class:`OutOfTimeError` is raised instead.  The
+          horizon is inclusive and tolerance-free, as in :meth:`run`,
+          and must be finite.
+
+        Raises :class:`SimulationError` if the schedule drains first (a
         deadlock).
         """
+        if until is None:
+            horizon = _INF
+        elif -_INF < until < _INF:
+            horizon = until
+        else:
+            raise ValueError(f"until={until!r} is not a finite time")
         heap = self._heap
+        self._unobserved_failure = None
         while not event.triggered:
             if not heap:
                 raise SimulationError(
                     f"deadlock: schedule drained before the awaited "
                     f"{type(event).__name__} triggered"
                     f"{self._deadlock_dump()}")
+            if heap[0][0] > horizon:
+                raise OutOfTimeError(horizon)
             self.step()
-            if each_event is not None:
-                each_event()
+            exc = self._unobserved_failure
+            if exc is not None:
+                self._unobserved_failure = None
+                raise exc
 
-    def run_process(self, gen_or_proc: Any, until: Optional[float] = None) -> Any:
+    def run_process(self, gen_or_proc: Any) -> Any:
         """Convenience: run one process to completion and return its value.
 
         Raises the process's exception if it failed, or
@@ -377,10 +400,6 @@ class Simulator:
                 raise SimulationError(
                     f"deadlock: schedule drained but {proc.name!r} is "
                     f"alive{self._deadlock_dump()}"
-                )
-            if until is not None and self.peek() > until:
-                raise SimulationError(
-                    f"process {proc.name!r} did not finish by t={until}"
                 )
             self.step()
         if not proc.ok:

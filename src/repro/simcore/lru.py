@@ -125,11 +125,8 @@ class ArrayLRU:
     def popleft(self, k: int) -> np.ndarray:
         """Remove and return the *k* least-recently-used keys, LRU first.
 
-        The stale-skipping scan grows its window geometrically from
-        ``max(_SCAN_CHUNK, 2k)``: a mostly-live log resolves in one
-        vectorized pass, and a heavily stranded log (eviction churn)
-        costs O(log stale-run) passes instead of one pass per 1024
-        entries.
+        The stale-skipping scan walks the log in windows of
+        ``max(_SCAN_CHUNK, 2k)`` entries.
         """
         k = min(int(k), self._size)
         out = np.empty(k, dtype=np.int64)
@@ -148,7 +145,6 @@ class ArrayLRU:
                 head += int(valid_idx[take - 1]) + 1
             else:
                 head = end
-            window *= 2
         self._head = head
         self._pos[out] = -1
         self._size -= k

@@ -206,14 +206,12 @@ class AsyncRing:
             else e.sizes
             for e in self._sq])
         done = self.device.submit_batch(sizes, io_depth=self.depth)
-        # getattr: benches drive the ring with duck-typed stub devices.
-        acct = getattr(self.device, "account_read", None)
-        if acct is not None:
-            for e in self._sq:
-                if isinstance(e, Sqe):
-                    acct(e.handle.name, e.nbytes)
-                else:
-                    acct(e.handle.name, int(e.sizes.sum()))
+        acct = self.device.account_read
+        for e in self._sq:
+            if isinstance(e, Sqe):
+                acct(e.handle.name, e.nbytes)
+            else:
+                acct(e.handle.name, int(e.sizes.sum()))
         san = self.sim.sanitizer
         if san is not None:
             san.check_ring(self, done)
@@ -242,8 +240,7 @@ class AsyncRing:
         file/offsets so range-targeted specs apply; transient completion
         errors (``-EAGAIN``) are drawn uniformly over the whole ring.
         """
-        # getattr: benches drive the ring with duck-typed stub devices.
-        inj = getattr(self.device, "faults", None)
+        inj = self.device.faults
         if inj is None:
             return None
         now = self.sim.now

@@ -1,10 +1,9 @@
 """The enriched ``stats`` schema survives the artifact round-trip, and
-``compare`` degrades gracefully on pre-stats artifacts.
+``compare`` rejects a document that has no stats block.
 
 JSON traps exercised here: NaN / inf metric fields (invalid JSON —
 stored as tagged strings and restored to floats on load), numpy scalars
-leaking in from summaries, and the legacy single-shot ``BENCH_*.json``
-layout that predates the stats block entirely.
+leaking in from summaries, and a document without the stats block.
 """
 
 import math
@@ -13,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.bench import stats as bstats
+from repro.bench.__main__ import main as bench_main
 from repro.bench.results_io import (has_stats, load_artifact,
                                     metric_is_finite, save_artifact,
                                     stats_metrics)
@@ -103,62 +103,22 @@ def test_reloaded_artifacts_compare_cleanly(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Legacy (pre-stats) artifacts
+# Artifacts without a stats block
 # ----------------------------------------------------------------------
-LEGACY_HOTPATH = {
-    "artifact": "hotpath-microbenchmarks",
-    "benches": [
-        {"name": "page_cache_access", "n_ops": 479795,
-         "reference_s": 0.40, "vectorized_s": 0.05, "speedup": 8.0},
-    ],
-    "targets_met": True,
-}
+def test_artifact_without_stats_is_rejected(tmp_path, capsys):
+    """A document with no ``stats.metrics`` fails to load, and compare
+    exits 2 naming it instead of passing with nothing compared."""
+    good = str(tmp_path / "BENCH_unit.json")
+    save_artifact(_artifact(), good)
+    bare = str(tmp_path / "x.json")
+    save_artifact({"artifact": "x"}, bare)
+    with pytest.raises(ValueError, match="x.json"):
+        load_artifact(bare)
 
-LEGACY_FAULTS = {
-    "completed": True,
-    "systems": [
-        {"system": "gnndrive-gpu", "status": "ok",
-         "ledger": {"injected": 12, "retried": 3, "recovered": 12,
-                    "dropped": 0},
-         "epoch_times": [2.0, 1.8]},
-    ],
-}
-
-
-def test_legacy_artifact_yields_single_shot_metrics():
-    metrics, warnings = bstats.extract_metrics(LEGACY_HOTPATH)
-    assert metrics["page_cache_access.speedup"]["n"] == 1
-    assert metrics["page_cache_access.speedup"]["mean"] == pytest.approx(8.0)
-    assert any("no-variance baseline" in w for w in warnings)
-
-    metrics, _ = bstats.extract_metrics(LEGACY_FAULTS)
-    assert metrics["gnndrive-gpu.injected"]["mean"] == 12
-    assert metrics["gnndrive-gpu.epoch_time_s"]["mean"] == pytest.approx(1.9)
-
-
-def test_legacy_compare_degrades_gracefully(tmp_path):
-    """Old single-shot baseline vs. new enriched artifact: compare runs
-    in threshold-only mode and says so, instead of crashing."""
-    new = {"benches": LEGACY_HOTPATH["benches"],
-           "stats": bstats.build_stats_block(
-               bstats.summarize_metrics(
-                   {"page_cache_access.speedup": [7.9, 8.1, 8.0, 8.2, 7.8]},
-                   {"speedup": bstats.RATIO_UP}),
-               bstats.RunPlan(runs=5))}
-    report = bstats.compare_artifacts(LEGACY_HOTPATH, new)
-    assert any("no-variance baseline" in w for w in report.warnings)
-    (cmp,) = [c for c in report.comparisons
-              if c.name == "page_cache_access.speedup"]
-    assert "no-variance baseline" in " ".join(cmp.notes)
-    assert cmp.classification == "unchanged"
-
-    # A real drop still trips the threshold-only gate.
-    bad = {"benches": [dict(LEGACY_HOTPATH["benches"][0], speedup=2.0)]}
-    report = bstats.compare_artifacts(LEGACY_HOTPATH, bad)
-    (cmp,) = [c for c in report.comparisons
-              if c.name == "page_cache_access.speedup"]
-    assert cmp.classification == "regressed"
-    assert report.regressions(gate_kinds=("ratio",)) == [cmp]
+    argv = ["compare", good, bare, "--fail-on-regression",
+            "--gate-kinds", "simulated,count", "--quiet"]
+    assert bench_main(argv) == 2
+    assert "x.json" in capsys.readouterr().err
 
 
 def test_unrecognizable_artifact_warns():

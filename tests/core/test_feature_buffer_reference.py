@@ -1,18 +1,77 @@
 """Property test: vectorized FeatureBuffer vs. the seed reference.
 
-``repro.bench.hotpath.ReferenceStandbyBuffer`` is a faithful copy of
-the original OrderedDict/per-element implementation; random batch
-traces (overlapping node sets, standby exhaustion, delayed releases)
-must leave both implementations in identical states after every step —
+``ReferenceStandbyBuffer`` below is a faithful copy of the original
+OrderedDict/per-element implementation; random batch traces
+(overlapping node sets, standby exhaustion, delayed releases) must
+leave both implementations in identical states after every step —
 mapping tables, standby LRU order, and statistics alike.
 """
+
+from collections import OrderedDict
+from typing import List
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.bench.hotpath import ReferenceStandbyBuffer
 from repro.core.feature_buffer import FeatureBuffer
 from repro.simcore import Simulator
+
+
+class ReferenceStandbyBuffer:
+    """The seed FeatureBuffer control plane: OrderedDict standby list,
+    per-element Python loops.  Data-plane ``fill``/``gather`` are
+    omitted — they were always vectorized and identical."""
+
+    def __init__(self, num_slots: int, num_nodes: int):
+        self.slot_of = np.full(num_nodes, -1, dtype=np.int64)
+        self.ref = np.zeros(num_nodes, dtype=np.int64)
+        self.valid = np.zeros(num_nodes, dtype=bool)
+        self.reverse = np.full(num_slots, -1, dtype=np.int64)
+        self.standby: "OrderedDict[int, None]" = OrderedDict(
+            (s, None) for s in range(num_slots))
+        self.stat_reused = 0
+        self.stat_loaded = 0
+        self.stat_evictions = 0
+
+    def begin_batch(self, nodes: np.ndarray) -> np.ndarray:
+        valid = self.valid[nodes]
+        ref = self.ref[nodes]
+        retired = nodes[valid & (ref == 0)]
+        for v in retired:
+            self.standby.pop(int(self.slot_of[v]), None)
+        self.ref[nodes] += 1
+        self.stat_reused += int(valid.sum())
+        return nodes[(~valid) & (ref == 0)]
+
+    def allocate_slots(self, nodes: np.ndarray) -> np.ndarray:
+        k = min(len(self.standby), len(nodes))
+        assigned = nodes[:k]
+        for v in assigned:
+            s, _ = self.standby.popitem(last=False)
+            prev = int(self.reverse[s])
+            if prev >= 0:
+                self.valid[prev] = False
+                self.slot_of[prev] = -1
+                self.stat_evictions += 1
+            self.slot_of[v] = s
+            self.reverse[s] = int(v)
+        self.stat_loaded += k
+        return assigned
+
+    def finish_load(self, nodes: np.ndarray) -> None:
+        self.valid[nodes] = True
+
+    def release(self, nodes: np.ndarray) -> None:
+        self.ref[nodes] -= 1
+        done = nodes[self.ref[nodes] == 0]
+        for v in done:
+            s = int(self.slot_of[v])
+            if s >= 0:
+                self.standby[s] = None
+
+    def standby_order(self) -> List[int]:
+        return list(self.standby)
+
 
 NUM_NODES = 40
 NUM_SLOTS = 12

@@ -248,16 +248,12 @@ class Simulator:
         if until is not None:
             self.now = until
 
-    def run_until_triggered(self, event: Event,
-                            each_event: Optional[Callable[[], None]] = None
-                            ) -> None:
+    def run_until_triggered(self, event: Event) -> None:
         """Step until *event* has triggered (reference driver loop)."""
         while not event.triggered:
             self.step()
-            if each_event is not None:
-                each_event()
 
-    def run_process(self, gen_or_proc: Any, until: Optional[float] = None) -> Any:
+    def run_process(self, gen_or_proc: Any) -> Any:
         proc = gen_or_proc
         if not isinstance(proc, Process):
             proc = self.process(proc)
@@ -265,10 +261,6 @@ class Simulator:
             if not self._heap:
                 raise SimulationError(
                     f"deadlock: schedule drained but {proc.name!r} is alive"
-                )
-            if until is not None and self.peek() > until:
-                raise SimulationError(
-                    f"process {proc.name!r} did not finish by t={until}"
                 )
             self.step()
         if not proc.ok:

@@ -17,9 +17,10 @@ not just the fast path.
 from collections import OrderedDict
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.simcore import ArrayLRU
+from repro.simcore import lru as lru_module
 
 NUM_KEYS = 24
 
@@ -65,6 +66,20 @@ operation = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(operation, min_size=1, max_size=60))
 def test_arraylru_matches_ordereddict(ops):
+    _replay_against_reference(ops)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(operation, min_size=1, max_size=60))
+def test_arraylru_popleft_scans_several_windows(monkeypatch, ops):
+    """A one-entry scan chunk makes popleft's window ``2k``, so a log
+    with stranded entries takes several passes per call."""
+    monkeypatch.setattr(lru_module, "_SCAN_CHUNK", 1)
+    _replay_against_reference(ops)
+
+
+def _replay_against_reference(ops):
     lru = ArrayLRU(NUM_KEYS, log_capacity=16)   # tiny: compact often
     ref = ReferenceLRU()
     for op, arg in ops:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.errors import InterruptError, SimulationError
+from repro.errors import InterruptError, OutOfTimeError, SimulationError
 from repro.simcore import Simulator
 
 
@@ -262,6 +262,81 @@ def test_run_until_triggered_detects_deadlock():
     with pytest.raises(SimulationError, match="deadlock"):
         sim.run_until_triggered(sim.event())
     assert sim.now == 1.0
+
+
+def test_run_until_triggered_horizon_is_inclusive():
+    """Events at exactly *until* dispatch, same-instant cascades too;
+    the first event past it does not, and the clock stays put."""
+    sim = Simulator()
+    done = sim.event()
+    seen = []
+
+    def proc(sim):
+        yield sim.timeout(1.0)
+        seen.append("at-until")
+        yield sim.timeout(0.0)
+        seen.append("cascade")
+        yield sim.timeout(1.0)
+        done.succeed()
+
+    sim.process(proc(sim))
+    with pytest.raises(OutOfTimeError) as info:
+        sim.run_until_triggered(done, until=1.0)
+    assert info.value.budget == 1.0
+    assert seen == ["at-until", "cascade"]
+    assert sim.now == 1.0 and sim.peek() == 2.0
+    dispatched = sim.events_dispatched
+    with pytest.raises(OutOfTimeError):
+        sim.run_until_triggered(done, until=1.5)
+    assert sim.events_dispatched == dispatched and sim.peek() == 2.0
+    sim.run_until_triggered(done, until=2.0)
+    assert done.triggered and sim.now == 2.0
+
+
+@pytest.mark.parametrize("until", [math.nan, math.inf, -math.inf])
+def test_run_until_triggered_rejects_non_finite_horizon(until):
+    sim = Simulator()
+    sim.timeout(1.0)
+    with pytest.raises(ValueError):
+        sim.run_until_triggered(sim.event(), until=until)
+    assert sim.events_dispatched == 0
+
+
+def _dies_at_one(sim):
+    yield sim.timeout(1.0)
+    raise KeyError("boom")
+
+
+def test_run_until_triggered_raises_unobserved_death():
+    """A death nobody waits on is raised after the step it happened in,
+    before a same-instant event can trigger the awaited one."""
+    sim = Simulator()
+    done = sim.event()
+
+    def finisher(sim):
+        yield sim.timeout(1.0)
+        done.succeed()
+
+    sim.process(_dies_at_one(sim))
+    sim.process(finisher(sim))
+    with pytest.raises(KeyError):
+        sim.run_until_triggered(done)
+    assert sim.now == 1.0 and not done.triggered
+
+
+def test_run_until_triggered_leaves_a_joined_death_to_its_waiter():
+    sim = Simulator()
+    done = sim.event()
+
+    def parent(sim):
+        try:
+            yield sim.process(_dies_at_one(sim))
+        except KeyError:
+            done.succeed("caught")
+
+    sim.process(parent(sim))
+    sim.run_until_triggered(done)
+    assert done.value == "caught"
 
 
 def test_same_time_events_fire_in_schedule_order():

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import AlignmentError
 from repro.simcore import Simulator
 from repro.storage import AsyncRing, FileCatalog, SSDDevice, SSDSpec
+from repro.storage.spec import SECTOR_SIZE
 
 
 def make_env(channels=4, latency=0.0, bw=1e6, depth=64, direct=True):
@@ -68,6 +69,54 @@ def test_prepare_record_reads_rounds_and_aligns():
     assert sqes[0].nbytes == 512            # rounded up to sector
     assert sqes[0].offset % 512 == 0        # aligned down
     assert sqes[0].offset <= 700 < sqes[0].offset + 512
+
+
+def _per_record_reads(ring, fh, record_ids, io_size):
+    """One prepare_read per record: the loop prepare_record_reads
+    replaces with array arithmetic."""
+    padded = -(-fh.nbytes // SECTOR_SIZE) * SECTOR_SIZE
+    sqes = []
+    for rid in record_ids.tolist():
+        off = rid * fh.record_nbytes
+        off -= off % SECTOR_SIZE
+        off = max(0, min(off, padded - io_size))
+        sqes.append(ring.prepare_read(fh, off, io_size, user_data=rid))
+    return sqes
+
+
+@pytest.mark.parametrize("record_nbytes,io_size",
+                         [(100, None), (768, None), (768, 4096)])
+def test_record_reads_match_per_record_loop(record_nbytes, io_size):
+    """Array-form SQE batches equal the per-record loop: offsets and
+    sizes (sector rounding, the end-of-file clamp), then completion
+    times from identical devices; an empty batch too."""
+    num_records = 1001          # file size not a multiple of a sector
+    io = io_size or -(-record_nbytes // SECTOR_SIZE) * SECTOR_SIZE
+    rings = []
+    for _ in range(2):
+        sim = Simulator()
+        dev = SSDDevice(sim, SSDSpec(read_latency=50e-6,
+                                     channel_bandwidth=1e8, channels=4))
+        fh = FileCatalog().create("f", nbytes=num_records * record_nbytes,
+                                  record_nbytes=record_nbytes)
+        rings.append((AsyncRing(sim, dev, depth=8, direct=True), fh))
+    (ring, fh), (ref_ring, ref_fh) = rings
+    padded = -(-fh.nbytes // SECTOR_SIZE) * SECTOR_SIZE
+    rng = np.random.default_rng(record_nbytes)
+    tail = np.arange(num_records - 8, num_records)
+    for rids in (np.concatenate([rng.integers(0, num_records, 64), tail]),
+                 np.empty(0, dtype=np.int64)):
+        batch = ring.prepare_record_reads(fh, rids, io_size=io_size)
+        sqes = _per_record_reads(ref_ring, ref_fh, rids, io)
+        assert batch.offsets.tolist() == [s.offset for s in sqes]
+        assert batch.sizes.tolist() == [s.nbytes for s in sqes]
+        assert batch.user_data.tolist() == [s.user_data for s in sqes]
+        assert ring.submit().tolist() == ref_ring.submit().tolist()
+        assert batch.completion_times.tolist() == \
+            [s.completion_time for s in sqes]
+        if len(rids):
+            # The last record reads the file's final io-sized window.
+            assert batch.offsets[-1] == padded - io
 
 
 def test_submit_and_wait_event():
