@@ -20,9 +20,9 @@ exit code:
 3. **Determinism** — re-running the chaos point with the same plan and
    seed yields an identical sanitizer trace digest.
 4. **Golden unchanged** — with no replica faults the resilience plane
-   stays unarmed and the pinned PR 5 serve scenario still reproduces
-   ``tests/golden/trace-serve.txt`` bit-identically, with or without an
-   (empty) fault plan attached.
+   runs only its router and workers, and the pinned serve scenario
+   still reproduces ``tests/golden/trace-serve.txt`` bit-identically,
+   with or without an (empty) fault plan attached.
 
 ``--smoke`` shrinks the request counts for CI; all four gates still
 run.
@@ -145,7 +145,7 @@ def run_chaos_serve(output: Optional[str] = "BENCH_chaos_serve.json",
     deterministic = bool(points["async"]["digest"]
                          and replay["digest"] == points["async"]["digest"])
 
-    # Gate 4: no replica faults -> the PR 5 golden serve trace, with and
+    # Gate 4: no replica faults -> the golden serve trace, with and
     # without an (empty) plan attached.
     from repro.oracle.golden import GOLDEN_SERVE_SCENARIO
     golden_ok, golden_detail = True, {}

@@ -67,12 +67,6 @@ def format_series(name: str, xs: Sequence, ys: Sequence,
     return "\n".join(lines)
 
 
-def format_ratio_note(measured: float, paper: float, what: str) -> str:
-    """'measured X vs paper Y' one-liner for EXPERIMENTS.md parity."""
-    return (f"  {what}: measured {fmt_value(measured)}x "
-            f"(paper reports {fmt_value(paper)}x)")
-
-
 # ----------------------------------------------------------------------
 # Markdown rendering
 # ----------------------------------------------------------------------

@@ -4,11 +4,10 @@ Every perf claim in this repo used to rest on single-shot numbers in
 ``BENCH_*.json``.  This module is the statistical layer that turns
 those artifacts into a *gate*:
 
-* a **repeated-run executor** (:func:`repeated_samples`,
-  :func:`repeated_measure`, :func:`interleaved_measure`) with per-bench
-  configurable run counts, warmup discard, and a seeded run order that
-  interleaves cases temci-style so machine drift decorrelates from the
-  case being measured;
+* a **repeated-run executor** (:func:`interleaved_measure`) with
+  per-bench configurable run counts, warmup discard, and a seeded run
+  order that interleaves cases temci-style so machine drift
+  decorrelates from the case being measured;
 * **summary statistics** per metric (:func:`summarize`): mean, sample
   stddev, min/max, percentiles, and a seeded bootstrap percentile
   confidence interval — no scipy, everything is numpy + ``math``;
@@ -30,7 +29,6 @@ machines — the CI ``bench-regression`` job gates on those.
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
 import math
@@ -308,33 +306,6 @@ class RunPlan:
         return {"runs": self.runs, "warmup": self.warmup, "seed": self.seed}
 
 
-def repeated_samples(fn: Callable[[], object], plan: RunPlan,
-                     gc_quiesce: bool = True) -> List[float]:
-    """Wall-clock samples of *fn*: *warmup* discarded, *runs* recorded.
-
-    With *gc_quiesce* the cyclic collector is drained before and
-    disabled during each sample (standard timeit hygiene) so runs don't
-    pay for each other's allocation history.
-    """
-    samples: List[float] = []
-    for i in range(plan.warmup + plan.runs):
-        if gc_quiesce:
-            gc.collect()
-            gc.disable()
-        try:
-            # sim-lint: disable=DET101 -- the executor measures real wall time
-            t0 = time.perf_counter()
-            fn()
-            # sim-lint: disable=DET101 -- the executor measures real wall time
-            dt = time.perf_counter() - t0
-        finally:
-            if gc_quiesce:
-                gc.enable()
-        if i >= plan.warmup:
-            samples.append(dt)
-    return samples
-
-
 def timed_call(fn: Callable[[], object]) -> Tuple[object, float]:
     """``(fn(), wall seconds)`` — the one-shot timing primitive measure
     functions use so wall-clock access stays inside this module."""
@@ -343,26 +314,6 @@ def timed_call(fn: Callable[[], object]) -> Tuple[object, float]:
     result = fn()
     # sim-lint: disable=DET101 -- the executor measures real wall time
     return result, time.perf_counter() - t0
-
-
-def repeated_measure(measure: Callable[[int], Mapping[str, float]],
-                     plan: RunPlan) -> Dict[str, List[float]]:
-    """Run ``measure(run_index)`` *warmup*+*runs* times; collect the
-    recorded runs' metric dicts into per-metric sample lists.  Negative
-    run indices are the warmup passes."""
-    samples: Dict[str, List[float]] = {}
-    for i in range(-plan.warmup, plan.runs):
-        values = measure(i)
-        if i < 0:
-            continue
-        for name, val in values.items():
-            samples.setdefault(name, []).append(float(val))
-    counts = {len(v) for v in samples.values()}
-    if samples and counts != {plan.runs}:
-        raise ValueError(
-            f"measure returned inconsistent metric sets across runs: "
-            f"run counts {sorted(counts)} != {plan.runs}")
-    return samples
 
 
 def interleaved_measure(cases: Mapping[str, Callable[[int],

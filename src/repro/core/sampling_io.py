@@ -47,12 +47,6 @@ def frontier_pages(cache: PageCache, graph: CSCGraph,
     return np.unique(np.repeat(first, counts) + offsets)
 
 
-def topo_access_event(cache: PageCache, handle: FileHandle,
-                      graph: CSCGraph, frontier: np.ndarray):
-    """Page-cache access event for one hop's adjacency reads."""
-    return cache.access(handle, frontier_pages(cache, graph, frontier))
-
-
 def page_access_with_retry(machine, cache: PageCache, handle: FileHandle,
                            pages: np.ndarray):
     """Fault a page set with bounded retries on injected read errors.
@@ -89,7 +83,8 @@ def page_access_with_retry(machine, cache: PageCache, handle: FileHandle,
 
 def topo_access_with_retry(machine, cache: PageCache, handle: FileHandle,
                            graph: CSCGraph, frontier: np.ndarray):
-    """:func:`topo_access_event` + :func:`page_access_with_retry`."""
+    """Fault one hop's adjacency pages (:func:`frontier_pages`) through
+    :func:`page_access_with_retry`."""
     value = yield from page_access_with_retry(
         machine, cache, handle, frontier_pages(cache, graph, frontier))
     return value

@@ -6,14 +6,14 @@ memory (it is small and hot during sampling) while the index array and
 the feature table live on the simulated SSD.
 
 Datasets are scaled-down synthetic equivalents of the paper's Table 1
-graphs, with matching degree skew (RMAT), feature dimensions, class
+graphs, with matching degree skew, feature dimensions, class
 counts, and — critically — the same data-to-memory byte ratios once the
 host budget is scaled by the same factor.
 """
 
 from repro.graph.csc import CSCGraph
 from repro.graph.build import csc_from_edges, add_self_loops, make_undirected
-from repro.graph.generators import rmat_edges, planted_partition_edges
+from repro.graph.generators import planted_partition_edges
 from repro.graph.labels import planted_features_and_labels
 from repro.graph.featurestore import FeatureStore
 from repro.graph.datasets import (
@@ -30,7 +30,6 @@ __all__ = [
     "csc_from_edges",
     "add_self_loops",
     "make_undirected",
-    "rmat_edges",
     "planted_partition_edges",
     "planted_features_and_labels",
     "FeatureStore",

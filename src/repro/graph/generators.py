@@ -1,14 +1,13 @@
-"""Synthetic graph generators with the degree skew of the paper's datasets.
+"""Synthetic graph generator with the degree skew of the paper's datasets.
 
-``rmat_edges`` produces the heavy-tailed in-degree distribution of citation
-and social graphs (Papers100M, Twitter, Friendster); the standard RMAT
-recursion is fully vectorized — one pass over ``log2(n)`` bit levels for
-all edges at once, no per-edge Python loop.
-
-``planted_partition_edges`` injects community structure (homophily) so the
-planted labels of :mod:`repro.graph.labels` are *learnable by a GNN*:
-neighbors mostly share a community, hence aggregation is informative and
-time-to-accuracy curves (Fig. 14) are meaningful.
+``planted_partition_edges`` draws every registry dataset's edges.  It
+injects community structure (homophily) so the planted labels of
+:mod:`repro.graph.labels` are *learnable by a GNN*: neighbors mostly
+share a community, hence aggregation is informative and
+time-to-accuracy curves (Fig. 14) are meaningful.  Endpoints are drawn
+at squared-uniform positions, a power-law bias toward low positions
+that gives the heavy-tailed in-degrees of citation and social graphs
+(Papers100M, Twitter, Friendster).
 """
 
 from __future__ import annotations
@@ -16,44 +15,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-
-
-def rmat_edges(num_nodes: int, num_edges: int, rng: np.random.Generator,
-               a: float = 0.57, b: float = 0.19, c: float = 0.19,
-               ) -> Tuple[np.ndarray, np.ndarray]:
-    """Generate RMAT edges over ``2**ceil(log2(n))`` leaves, clipped to n.
-
-    Default (a, b, c, d) follow Graph500.  Returns directed (src, dst);
-    duplicates possible (deduped at CSC build time).
-    """
-    if num_nodes < 2:
-        raise ValueError("need at least 2 nodes")
-    if num_edges < 0:
-        raise ValueError("negative edge count")
-    d = 1.0 - a - b - c
-    if d < 0:
-        raise ValueError("a + b + c must be <= 1")
-    levels = int(np.ceil(np.log2(num_nodes)))
-    src = np.zeros(num_edges, dtype=np.int64)
-    dst = np.zeros(num_edges, dtype=np.int64)
-    # Per level, draw a quadrant for every edge at once.
-    p_right_given_top = b / (a + b) if (a + b) > 0 else 0.0
-    p_right_given_bottom = d / (c + d) if (c + d) > 0 else 0.0
-    for _ in range(levels):
-        u = rng.random(num_edges)
-        v = rng.random(num_edges)
-        bottom = u >= (a + b)
-        right = np.where(bottom, v < p_right_given_bottom,
-                         v < p_right_given_top)
-        src = (src << 1) | bottom
-        dst = (dst << 1) | right
-    # Clip into [0, num_nodes) while preserving skew.
-    src %= num_nodes
-    dst %= num_nodes
-    # Avoid self loops (re-point to a neighbor slot).
-    self_loop = src == dst
-    dst[self_loop] = (dst[self_loop] + 1) % num_nodes
-    return src, dst
 
 
 def planted_partition_edges(num_nodes: int, num_edges: int, num_classes: int,

@@ -59,8 +59,11 @@ _NUM_WORKERS = {"multigpu": 2}
 
 
 def _trace_lines(trace: List[Tuple]) -> List[str]:
-    """Render sanitizer trace tuples as stable text lines."""
-    return [f"{when!r}\t{priority}\t{seq}\t{kind}\t{name}"
+    """Render sanitizer trace tuples as stable text lines.
+
+    ``float(when)`` renders a NumPy scalar time like the Python float
+    the digest packs, so the text cannot drift from its digest."""
+    return [f"{float(when)!r}\t{priority}\t{seq}\t{kind}\t{name}"
             for when, priority, seq, kind, name in trace]
 
 
@@ -144,7 +147,9 @@ def check_golden(golden_dir: str = GOLDEN_DIR) -> List[Dict[str, object]]:
 
     Returns one mismatch record per diverging system: the pinned and
     current digests plus the first divergent event (when the golden
-    trace file is present).  Empty list = everything matches.
+    trace file is present).  A system whose digest matches but whose
+    committed trace text differs is reported too, so the text always
+    locates the real first divergence.  Empty list = everything matches.
     """
     pinned = golden_digests(golden_dir)
     if not pinned:
@@ -166,14 +171,16 @@ def check_golden(golden_dir: str = GOLDEN_DIR) -> List[Dict[str, object]]:
                                "current_digest": None, "divergence": None,
                                "detail": f"run failed: {run.error}"})
             continue
-        if run.digest != want:
-            div = first_divergence_vs_golden(system, run.trace, golden_dir)
-            detail = "trace digest changed"
-            if div is not None:
-                detail += (f"; first divergence at step {div['step']}: "
-                           f"golden={div['golden']!r} "
-                           f"current={div['current']!r}")
-            mismatches.append({"system": system, "golden_digest": want,
-                               "current_digest": run.digest,
-                               "divergence": div, "detail": detail})
+        div = first_divergence_vs_golden(system, run.trace, golden_dir)
+        if run.digest == want and div is None:
+            continue
+        detail = ("trace digest changed" if run.digest != want else
+                  "digest matches but the committed trace text differs")
+        if div is not None:
+            detail += (f"; first divergence at step {div['step']}: "
+                       f"golden={div['golden']!r} "
+                       f"current={div['current']!r}")
+        mismatches.append({"system": system, "golden_digest": want,
+                           "current_digest": run.digest,
+                           "divergence": div, "detail": detail})
     return mismatches

@@ -454,7 +454,8 @@ class ReplicaChaosBounded(Oracle):
     * injecting replica crash/hang/slow episodes can only *reduce*
       goodput (modulo scheduling jitter) — recovery machinery may bound
       the damage but cannot out-perform the undamaged system;
-    * a plan with no replica specs leaves the resilience plane unarmed,
+    * a plan with no replica specs leaves the resilience plane unarmed
+      (router and workers only: no health checker, drivers or hedges),
       so the run is bit-identical (same trace digest) to a plain run.
     """
 

@@ -8,20 +8,12 @@ re-deriving it.
 
 from repro.sampling.subgraph import LayerAdj, SampledSubgraph
 from repro.sampling.neighbor import NeighborSampler
-from repro.sampling.policies import (
-    DegreeBiasedSampler,
-    WeightedNeighborSampler,
-    cache_biased_weights,
-)
 from repro.sampling.batching import MinibatchPlan, split_segments
 
 __all__ = [
     "LayerAdj",
     "SampledSubgraph",
     "NeighborSampler",
-    "WeightedNeighborSampler",
-    "DegreeBiasedSampler",
-    "cache_biased_weights",
     "MinibatchPlan",
     "split_segments",
 ]

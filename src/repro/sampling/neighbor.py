@@ -37,8 +37,7 @@ class NeighborSampler:
               ends: np.ndarray, fanout: int) -> np.ndarray:
         """Positions into ``graph.indices`` for the sampled neighbors.
 
-        Uniform with replacement; policy subclasses override this (the
-        §4.4 "various sampling policies" hook).
+        Uniform with replacement.
         """
         degs = ends - starts
         offsets = (self.rng.random((len(active_pos), fanout))

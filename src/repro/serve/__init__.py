@@ -14,9 +14,10 @@ queueing system under open-loop load:
   across requests) vs. a PyG+-style sync baseline via the page cache;
 * :mod:`repro.serve.server` — replicas, SLO accounting,
   :class:`repro.core.stats.ServeStats`;
-* :mod:`repro.serve.resilience` — the replica failure domain: health
-  checking, circuit-breaker routing, crash failover, hedged requests,
-  and brownout degradation (armed under ``replica_*`` fault plans);
+* :mod:`repro.serve.resilience` — dispatch: circuit-breaker routing
+  over bounded per-replica job queues, plus the replica failure domain
+  (health checking, crash failover, hedged requests, brownout
+  degradation), armed under ``replica_*`` fault plans;
 * :mod:`repro.serve.scenario` — JSON round-trippable serve scenarios
   for the oracle/golden harness.
 """

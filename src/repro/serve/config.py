@@ -7,7 +7,8 @@ JSON round-trippable and memoisable, mirroring
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple
 
 from repro.errors import ConfigError
@@ -16,7 +17,6 @@ _WORKLOAD_KINDS = ("poisson", "trace", "closed")
 _POPULARITIES = ("uniform", "zipf")
 _RATE_SHAPES = ("flat", "diurnal", "flash")
 _BACKENDS = ("async", "sync")
-_RESILIENCE = ("auto", "on", "off")
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,13 @@ class WorkloadSpec:
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Serving-plane knobs: queueing, batching, extraction backend."""
+    """Serving-plane knobs: queueing, batching, extraction backend.
+
+    The hedge, health-checker, failover and brownout knobs take effect
+    only when the machine's fault plan has ``replica_*`` specs, which
+    arms the :class:`~repro.serve.resilience.ResiliencePlane`'s
+    recovery machinery.  Every float field must be finite.
+    """
 
     backend: str = "async"
     num_replicas: int = 1
@@ -142,12 +148,7 @@ class ServeConfig:
     #: Safety margin on the probed max nodes per job (same role as
     #: :class:`repro.core.config.GNNDriveConfig.batch_nodes_margin`).
     batch_nodes_margin: float = 1.3
-    #: Resilience plane arming: ``auto`` arms it iff the machine's fault
-    #: plan contains ``replica_*`` specs; ``on``/``off`` force it.  When
-    #: unarmed, the PR 5 dispatch path runs verbatim (bit-identical
-    #: traces — the empty-replica-plan golden gate).
-    resilience: str = "auto"
-    #: Hedged requests (armed resilience only): after
+    #: Hedged requests (more than one replica): after
     #: ``max(hedge_min_delay, observed latency quantile)`` without a
     #: completion, clone the attempt onto another healthy replica;
     #: first completion wins, the loser is cancelled.
@@ -171,6 +172,10 @@ class ServeConfig:
     brownout_batch_scale: float = 0.5
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.backend not in _BACKENDS:
             raise ConfigError(f"unknown serve backend {self.backend!r}; "
                               f"known: {_BACKENDS}")
@@ -190,9 +195,6 @@ class ServeConfig:
             raise ConfigError("standby_scale must be >= 0")
         if self.batch_nodes_margin < 1.0:
             raise ConfigError("batch_nodes_margin must be >= 1")
-        if self.resilience not in _RESILIENCE:
-            raise ConfigError(f"unknown resilience mode "
-                              f"{self.resilience!r}; known: {_RESILIENCE}")
         if not 0.0 < self.hedge_quantile < 1.0:
             raise ConfigError("hedge_quantile must be in (0, 1)")
         if not self.hedge_min_delay > 0:

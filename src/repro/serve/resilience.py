@@ -1,18 +1,22 @@
-"""The serving resilience plane: replica failure domains and recovery.
+"""The serving dispatch plane: replica routing, failure domains, recovery.
 
-PR 5's dispatch path assumes immortal replicas: round-robin over
-:class:`~repro.simcore.Store` job queues, one worker per replica,
-forever.  This module replaces it — only when the fault plan contains
-``replica_*`` specs (or ``ServeConfig.resilience == "on"``) — with a
-health-aware plane:
+Every :class:`~repro.serve.server.InferenceServer` dispatches through
+this plane.  Its core always runs:
 
 * **JobQueue** — an abandoned-wait-safe per-replica queue (the
   :class:`~repro.serve.batcher.AdmissionQueue` notification/transfer
   split), so a crashed worker's pending wait loses nothing and a dead
-  replica's queue can be drained for failover.
+  replica's queue can be drained for failover.  Dispatch blocks the
+  batcher while the routed queue holds more than :data:`QUEUE_BOUND`
+  jobs: GNNDrive's bounded stage queues (§4.1), so a slow replica
+  pushes back on the batcher instead of piling up sealed jobs.
 * **Router** — least-outstanding dispatch over healthy replicas (the
   per-replica circuit breaker: ``up`` = closed, ``ejected``/``down`` =
-  open, ``probation`` = half-open), replacing blind round-robin.
+  open, ``probation`` = half-open).
+
+The recovery machinery arms only when the machine's fault plan has
+``replica_*`` specs:
+
 * **Health checker** — a heartbeat process that counts missed probes,
   ejects unresponsive replicas, and re-admits recovered ones after a
   probation period.
@@ -24,10 +28,11 @@ health-aware plane:
   (exactly-once: a request reaches exactly one terminal state, enforced
   by the pending-status guard and
   :meth:`repro.core.stats.ServeStats.check_accounting`).
-* **Hedging** — after a quantile-based delay a second attempt is
-  launched on another healthy replica; first completion wins, the loser
-  is cancelled (dropped from its queue, or completes as a counted
-  discard whose buffer references are released normally).
+* **Hedging** — with ``ServeConfig.hedge`` and more than one replica,
+  after a quantile-based delay a second attempt is launched on another
+  healthy replica; first completion wins, the loser is cancelled
+  (dropped from its queue, or completes as a counted discard whose
+  buffer references are released normally).
 * **Brownout** — when the healthy fraction drops below a threshold,
   admission deadlines and micro-batch sizes tighten, trading offered
   load for goodput on the work still accepted.
@@ -53,6 +58,10 @@ from repro.simcore.engine import Event, Simulator
 #: closed, ``ejected``/``down`` = open, ``probation`` = half-open).
 REPLICA_STATES = ("up", "probation", "ejected", "down")
 
+#: Jobs a replica's queue holds before :meth:`ResiliencePlane.dispatch`
+#: blocks the batcher (one more than this while it waits).
+QUEUE_BOUND = 2
+
 
 class JobQueue:
     """Per-replica job queue safe against abandoned waits.
@@ -61,7 +70,8 @@ class JobQueue:
     waiters receive notification events only, items move exclusively
     through :meth:`try_pop` — so a worker interrupted mid-wait (replica
     crash) swallows nothing, and the crash handler can :meth:`drain`
-    the queue for failover.
+    the queue for failover.  The batcher waits on :meth:`space_event`
+    while the depth is above :data:`QUEUE_BOUND`.
     """
 
     def __init__(self, sim: Simulator, name: str = "jobs"):
@@ -69,6 +79,7 @@ class JobQueue:
         self.name = name
         self._items: Deque["Attempt"] = deque()
         self._waiters: List[Event] = []
+        self._space_waiters: List[Event] = []
         self.closed = False
         self.pushed = 0
         self.popped = 0
@@ -95,13 +106,17 @@ class JobQueue:
         if not self._items:
             return None
         self.popped += 1
-        return self._items.popleft()
+        att = self._items.popleft()
+        if len(self._items) <= QUEUE_BOUND:
+            self._wake_space()
+        return att
 
     def drain(self) -> List["Attempt"]:
         """Remove and return everything queued (crash failover)."""
         items = list(self._items)
         self._items.clear()
         self.popped += len(items)
+        self._wake_space()
         return items
 
     def arrival_event(self) -> Event:
@@ -112,12 +127,29 @@ class JobQueue:
             self._waiters.append(ev)
         return ev
 
+    def space_event(self) -> Event:
+        """Event fired once the depth is at or below :data:`QUEUE_BOUND`
+        (or on close)."""
+        ev = Event(self.sim)
+        if len(self._items) <= QUEUE_BOUND or self.closed:
+            ev.succeed(len(self._items))
+        else:
+            self._space_waiters.append(ev)
+        return ev
+
     def close(self) -> None:
         self.closed = True
         self._wake()
+        self._wake_space()
 
     def _wake(self) -> None:
         waiters, self._waiters = self._waiters, []
+        for ev in waiters:
+            if not ev.triggered:
+                ev.succeed(len(self._items))
+
+    def _wake_space(self) -> None:
+        waiters, self._space_waiters = self._space_waiters, []
         for ev in waiters:
             if not ev.triggered:
                 ev.succeed(len(self._items))
@@ -134,6 +166,10 @@ class JobQueue:
         if self._items and self._waiters:
             raise SimulationError(
                 f"queue {self.name!r}: waiters present with items queued")
+        if self._space_waiters and len(self._items) <= QUEUE_BOUND:
+            raise SimulationError(
+                f"queue {self.name!r}: batcher waits at depth "
+                f"{len(self._items)} <= bound {QUEUE_BOUND}")
 
 
 @dataclass
@@ -187,13 +223,14 @@ class ReplicaState:
 
 
 class ResiliencePlane:
-    """Owns the resilient dispatch path of one
-    :class:`~repro.serve.server.InferenceServer`.
+    """Owns the dispatch path of one
+    :class:`~repro.serve.server.InferenceServer`: the server delegates
+    dispatch, worker management, and shutdown to it.
 
-    Built only when armed (see :class:`~repro.serve.config.ServeConfig.
-    resilience`); the server delegates dispatch, worker management, and
-    shutdown to it.  All stochastic draws go through the machine's
-    :class:`~repro.faults.FaultInjector` per-fault streams.
+    Armed when *specs* (the fault plan's ``replica_*`` specs) is
+    non-empty: then it also runs the health checker, one chaos driver
+    per spec, and hedges.  All stochastic draws go through the
+    machine's :class:`~repro.faults.FaultInjector` per-fault streams.
     """
 
     def __init__(self, server, specs: List[FaultSpec]):
@@ -207,7 +244,7 @@ class ResiliencePlane:
         self.injector = inj
         self.ledger = inj.ledger if inj is not None else None
         self.hedge_policy: Optional[HedgePolicy] = None
-        if cfg.hedge and cfg.num_replicas > 1:
+        if specs and cfg.hedge and cfg.num_replicas > 1:
             self.hedge_policy = HedgePolicy(
                 quantile=cfg.hedge_quantile,
                 min_delay=cfg.hedge_min_delay)
@@ -220,22 +257,18 @@ class ResiliencePlane:
         self.brownout = False
         self._brownout_since = 0.0
         self._base_batch_size = cfg.max_batch_size
-        self._hedge_procs: List = []
 
     # ------------------------------------------------------------------
-    # Ledger access (None-safe: resilience can be forced on without a
-    # fault plan, e.g. in the hedging property tests).
+    # Ledger access (armed only: replica specs imply an injector)
     # ------------------------------------------------------------------
     def _count(self, name: str, k: int = 1) -> None:
-        if self.ledger is not None:
-            setattr(self.ledger, name, getattr(self.ledger, name) + k)
+        setattr(self.ledger, name, getattr(self.ledger, name) + k)
 
     def _accum(self, name: str, dt: float) -> None:
-        if self.ledger is not None:
-            setattr(self.ledger, name, getattr(self.ledger, name) + dt)
+        setattr(self.ledger, name, getattr(self.ledger, name) + dt)
 
     # ------------------------------------------------------------------
-    # Router (the circuit breaker replacing round-robin)
+    # Router (the circuit breaker)
     # ------------------------------------------------------------------
     def route(self, att: Attempt, exclude: int = -1) -> ReplicaState:
         """Dispatch *att* to the best replica: healthiest state class
@@ -252,16 +285,16 @@ class ResiliencePlane:
         return best
 
     def dispatch(self, job: Job) -> Generator:
-        """MicroBatcher dispatch hook: route the primary, arm a hedge."""
+        """MicroBatcher dispatch hook: route the primary, arm a hedge,
+        then hold the batcher while the routed queue is over
+        :data:`QUEUE_BOUND` (backpressure)."""
         att = Attempt(job=job)
-        self.route(att)
+        q = self.route(att).queue
         if self.hedge_policy is not None:
-            p = self.sim.process(self._hedge_proc(att),
-                                 name=f"hedge{job.batch_id}")
-            self._hedge_procs.append(p)
-            self.server.watch_actor(p)
-        return
-        yield  # unreachable: dispatch never blocks (generator protocol)
+            self.server.watch_actor(self.sim.process(
+                self._hedge_proc(att), name=f"hedge{job.batch_id}"))
+        while len(q) > QUEUE_BOUND and not q.closed:
+            yield q.space_event()
 
     # ------------------------------------------------------------------
     # Worker
@@ -399,8 +432,7 @@ class ResiliencePlane:
                 yield sim.timeout(wait)
             if self.server._done.triggered:
                 return
-            if self.injector is not None \
-                    and not self.injector.draw_episode(spec):
+            if not self.injector.draw_episode(spec):
                 continue
             r = self._draw_target(spec)
             st = self.replicas[r]
@@ -418,10 +450,7 @@ class ResiliencePlane:
                 st.slow_until = sim.now + spec.duration
 
     def _draw_target(self, spec: FaultSpec) -> int:
-        n = len(self.replicas)
-        if self.injector is not None:
-            return self.injector.draw_replica(spec, n)
-        return spec.replica % n if spec.replica >= 0 else 0
+        return self.injector.draw_replica(spec, len(self.replicas))
 
     def _crash_episode(self, st: ReplicaState,
                        spec: FaultSpec) -> Generator:
@@ -530,13 +559,16 @@ class ResiliencePlane:
 
     # ------------------------------------------------------------------
     def actors(self) -> List:
-        """Spawn the plane's processes (workers, checker, drivers)."""
+        """Spawn the plane's processes: the workers, and when armed the
+        health checker and chaos drivers."""
         procs = []
         for st in self.replicas:
             st.worker = self.sim.process(
                 self.worker_proc(st.index, st.incarnation),
                 name=f"serve-rworker{st.index}.0")
             procs.append(st.worker)
+        if not self.specs:
+            return procs
         procs.append(self.sim.process(self.health_proc(),
                                       name="serve-health"))
         for spec in self.specs:

@@ -4,7 +4,7 @@ Data path (architecture.md §10)::
 
     injector ──> admission queue ──> micro-batcher ──> job queues
     (open/closed loop)  (bounded,      (max-batch /     (1 per replica,
-                         shed)          max-wait)        round-robin)
+                         shed)          max-wait)        routed, depth 2)
                                                             │
                                [worker r]: sample ─> extract ─> infer
                                                             │
@@ -16,10 +16,8 @@ failover budget — so ``offered == completed + shed + timed_out +
 failed`` holds as a checked invariant
 (:meth:`repro.core.stats.ServeStats.check_accounting`).
 
-When the fault plan carries ``replica_*`` specs (or resilience is
-forced on), dispatch is delegated to the
-:class:`~repro.serve.resilience.ResiliencePlane`; otherwise the PR 5
-round-robin path below runs verbatim, bit-identical to its goldens.
+Dispatch, the replica workers and their recovery machinery live in the
+:class:`~repro.serve.resilience.ResiliencePlane`.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ import numpy as np
 
 from repro.core.base import (TrainConfig, activation_bytes,
                              probe_batch_shape)
-from repro.core.driver import SHUTDOWN
 from repro.core.sampling_io import topo_access_with_retry
 from repro.core.stats import ServeStats
 from repro.core.staging import StagingBuffer
@@ -45,7 +42,7 @@ from repro.serve.batcher import AdmissionQueue, Job, MicroBatcher
 from repro.serve.config import ServeConfig, WorkloadSpec
 from repro.serve.resilience import ResiliencePlane
 from repro.serve.workload import Request, build_requests
-from repro.simcore import LatencyRecorder, RandomStreams, Store
+from repro.simcore import LatencyRecorder, RandomStreams
 from repro.simcore.engine import Event
 
 
@@ -92,14 +89,11 @@ class InferenceServer:
         self._act_reserve = int(observed_act
                                 * config.batch_nodes_margin) // 2
 
-        # Arm the resilience plane when asked to, or automatically when
-        # the machine's fault plan targets the replica failure domain.
-        plan_specs = (list(m.faults.replica_specs)
-                      if m.faults is not None else [])
-        self.resilience: Optional[ResiliencePlane] = None
-        if config.resilience == "on" or (config.resilience == "auto"
-                                         and plan_specs):
-            self.resilience = ResiliencePlane(self, plan_specs)
+        # The plane arms its recovery machinery iff the machine's fault
+        # plan targets the replica failure domain.
+        self.resilience = ResiliencePlane(
+            self, list(m.faults.replica_specs) if m.faults is not None
+            else [])
 
         self.queue = AdmissionQueue(m.sim, config.queue_capacity)
         model_bytes = (self.model.num_parameters() * 4)
@@ -112,7 +106,6 @@ class InferenceServer:
                 dataset.features.io_size(config.direct_io),
                 num_portions=config.num_replicas)
         self.backends: List = []
-        self._job_qs: List[Store] = []
         self._samplers: List[NeighborSampler] = []
         for r in range(config.num_replicas):
             m.gpus[r].allocate(model_bytes, tag="model")
@@ -124,8 +117,6 @@ class InferenceServer:
             else:
                 backend = SyncServeBackend(m, dataset, config, r)
             self.backends.append(backend)
-            if self.resilience is None:
-                self._job_qs.append(Store(m.sim, 2, f"serve-jobs{r}"))
             self._samplers.append(NeighborSampler(
                 dataset.graph, self.fanouts,
                 self.streams.fork("serve-sampler", r)))
@@ -133,8 +124,6 @@ class InferenceServer:
         self._record = record
         if m.sim.sanitizer is not None:
             m.sim.sanitizer.register(self.queue)
-            for q in self._job_qs:
-                m.sim.sanitizer.register(q)
 
         self.recorder = LatencyRecorder("serve")
         self.requests: List[Request] = build_requests(
@@ -179,7 +168,7 @@ class InferenceServer:
         Under brownout the deadline tightens, shedding work earlier to
         preserve goodput for what is still accepted."""
         deadline = req.deadline
-        if self.resilience is not None and self.resilience.brownout:
+        if self.resilience.brownout:
             deadline = req.arrival + (self.config.slo
                                       * self.config.brownout_deadline_scale)
         if self.machine.sim.now > deadline:
@@ -245,18 +234,13 @@ class InferenceServer:
                 yield m.sim.timeout(rng.exponential(
                     self.workload.think_time))
 
-    def _dispatch(self, job: Job) -> Generator:
-        """Round-robin sealed jobs over the replica job queues."""
-        yield self._job_qs[job.batch_id % self.config.num_replicas].put(job)
-
     def _process_job(self, r: int, job: Job,
                      factor: float = 1.0) -> Generator:
         """The per-job pipeline on replica *r*: sample -> topo access ->
         extract -> infer -> release.  *factor* scales compute times
-        (``replica_slow`` degradation; 1.0 is exact — the legacy path is
-        event-identical).  Completion accounting stays with the caller:
-        the legacy worker claims every request, the resilience plane
-        runs its first-completion-wins arbitration."""
+        (``replica_slow`` degradation; 1.0 is exact).  Completion
+        accounting stays with the caller: the plane's worker runs its
+        first-completion-wins arbitration."""
         m = self.machine
         backend = self.backends[r]
         sampler = self._samplers[r]
@@ -287,18 +271,6 @@ class InferenceServer:
         self._batches += 1
         self._batched_requests += len(job.requests)
 
-    def _worker_proc(self, r: int) -> Generator:
-        while True:
-            job = yield self._job_qs[r].get()
-            if job is SHUTDOWN:
-                return
-            # sim-race: ordered -- worker r owns gpus[r] exclusively
-            # (one worker per replica); instances touch disjoint devices.
-            yield from self._process_job(r, job)
-            now = self.machine.sim.now
-            for req in job.requests:
-                self._complete_request(req, now)
-
     def watch_actor(self, proc) -> None:
         """Adopt a late-spawned process (replica restarts, hedges) into
         the shutdown-drain set."""
@@ -324,19 +296,12 @@ class InferenceServer:
         else:
             self._actors.append(sim.process(self._injector_proc(),
                                             name="injector"))
-        dispatch = (self._dispatch if self.resilience is None
-                    else self.resilience.dispatch)
         batcher = MicroBatcher(sim, self.queue, cfg.max_batch_size,
-                               cfg.max_wait, dispatch,
+                               cfg.max_wait, self.resilience.dispatch,
                                admit=self._admit)
         self.batcher = batcher
         self._actors.append(sim.process(batcher.run(), name="batcher"))
-        if self.resilience is None:
-            for r in range(cfg.num_replicas):
-                self._actors.append(sim.process(self._worker_proc(r),
-                                                name=f"serve-worker{r}"))
-        else:
-            self._actors.extend(self.resilience.actors())
+        self._actors.extend(self.resilience.actors())
         self._started = True
 
         sim.run_until_triggered(self._done)
@@ -394,10 +359,7 @@ class InferenceServer:
             return
         if not self.queue.closed:
             self.queue.close()
-        if self.resilience is not None:
-            self.resilience.close_queues()
-        for q in self._job_qs:
-            q.put(SHUTDOWN)
+        self.resilience.close_queues()
         self.machine.sim.drain(self._actors)
         self._started = False
 

@@ -1,4 +1,4 @@
-"""Simulated storage stack: SSD device, io_uring ring, page cache, mmap.
+"""Simulated storage stack: SSD device, io_uring ring, page cache.
 
 Layering (bottom to top)::
 
@@ -7,7 +7,6 @@ Layering (bottom to top)::
     SyncFile          blocking pread()-style reads (threads block on I/O)
     AsyncRing         io_uring-style SQ/CQ with bounded io-depth
     PageCache         OS page cache (LRU, 4 KiB pages) sized by free host RAM
-    MmapArray         numpy-like array access routed through the page cache
 
 The *data plane* is ordinary NumPy (reads return real array slices so GNN
 training downstream is genuine); the *timing plane* is the device model,
@@ -22,10 +21,9 @@ from repro.storage.files import FileCatalog, FileHandle
 from repro.storage.sync_io import SyncFile
 from repro.storage.io_uring import AsyncRing, Sqe, SqeBatch
 from repro.storage.page_cache import PageCache
-from repro.storage.mmap_store import MmapArray
 
 __all__ = [
     "SSDSpec", "PM883", "S3510", "SECTOR_SIZE", "PAGE_SIZE",
     "SSDDevice", "FileCatalog", "FileHandle", "SyncFile",
-    "AsyncRing", "Sqe", "SqeBatch", "PageCache", "MmapArray",
+    "AsyncRing", "Sqe", "SqeBatch", "PageCache",
 ]

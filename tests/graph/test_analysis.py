@@ -1,88 +1,39 @@
-"""Tests for graph-analysis utilities (and dataset structural checks)."""
+"""Structural properties of the generated datasets.
+
+The paper's cache behaviour needs heavy-tailed degrees, and its
+Fig. 14 accuracy curves need homophilous labels and a low chance rate;
+these tests pin ``make_dataset``'s output in that regime.
+"""
 
 import numpy as np
-import pytest
 
-from repro.graph import csc_from_edges, make_dataset
-from repro.graph.analysis import (
-    degree_statistics,
-    edge_homophily,
-    gini_coefficient,
-    label_chance_rate,
-    neighborhood_working_set,
-)
-
-
-def test_degree_statistics_simple():
-    g = csc_from_edges(np.array([1, 2, 3]), np.array([0, 0, 0]), 4)
-    stats = degree_statistics(g)
-    assert stats["mean"] == pytest.approx(0.75)
-    assert stats["max"] == 3
-    assert stats["zeros"] == pytest.approx(0.75)
-
-
-def test_gini_uniform_is_zero():
-    assert gini_coefficient(np.ones(100)) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_gini_concentrated_is_high():
-    v = np.zeros(100)
-    v[0] = 100.0
-    assert gini_coefficient(v) > 0.9
-
-
-def test_gini_empty_and_zero():
-    assert gini_coefficient(np.array([])) == 0.0
-    assert gini_coefficient(np.zeros(5)) == 0.0
+from repro.graph import make_dataset
 
 
 def test_generated_datasets_have_skewed_degrees():
     """The regime the paper's caches rely on."""
     ds = make_dataset("papers100m-mini", seed=0, scale=0.1)
-    g = gini_coefficient(ds.graph.in_degree())
-    assert g > 0.3, f"degree Gini {g:.2f} too uniform for a social graph"
-
-
-def test_edge_homophily_extremes():
-    # All same label: homophily 1.
-    g = csc_from_edges(np.array([0, 1]), np.array([1, 2]), 3)
-    assert edge_homophily(g, np.zeros(3, dtype=np.int64)) == 1.0
-    assert edge_homophily(g, np.array([0, 1, 2])) == 0.0
+    deg = np.sort(ds.graph.in_degree().astype(np.float64))
+    n = len(deg)
+    # Gini of the in-degree distribution (0 = uniform, -> 1 = skewed).
+    gini = (2 * (np.arange(1, n + 1) * deg).sum()
+            - (n + 1) * deg.sum()) / (n * deg.sum())
+    assert gini > 0.3, f"degree Gini {gini:.2f} too uniform for a social graph"
 
 
 def test_generated_datasets_are_homophilous():
     ds = make_dataset("tiny", seed=0)
-    h = edge_homophily(ds.graph, ds.labels)
+    g = ds.graph
+    dst = np.repeat(np.arange(g.num_nodes), np.diff(g.indptr))
+    # Edge homophily: the fraction of edges whose endpoints share a label.
+    h = (ds.labels[g.indices] == ds.labels[dst]).mean()
     chance = 1.0 / ds.num_classes
     assert h > 3 * chance
     assert h < 0.95  # but not trivially clustered
 
 
-def test_label_chance_rate():
-    assert label_chance_rate(np.array([0, 0, 0, 1])) == pytest.approx(0.75)
-    assert label_chance_rate(np.array([], dtype=np.int64)) == 0.0
-
-
 def test_learned_accuracy_beats_chance_baseline():
     """The Fig. 14 curves are meaningful only if chance is low."""
     ds = make_dataset("papers100m-mini", seed=0, scale=0.1)
-    assert label_chance_rate(ds.labels) < 0.05  # 172 classes
-
-
-def test_neighborhood_working_set_bounds_sampler():
-    from repro.sampling import NeighborSampler
-
-    ds = make_dataset("tiny", seed=0)
-    seeds = ds.train_idx[:20]
-    exact = neighborhood_working_set(ds.graph, seeds, hops=2)
-    sampler = NeighborSampler(ds.graph, (4, 4), np.random.default_rng(0))
-    sampled = len(sampler.sample(seeds).all_nodes)
-    assert sampled <= exact
-    assert exact >= len(seeds)
-
-
-def test_working_set_chain_graph():
-    g = csc_from_edges(np.array([1, 2, 3]), np.array([0, 1, 2]), 4)
-    assert neighborhood_working_set(g, np.array([0]), hops=1) == 2
-    assert neighborhood_working_set(g, np.array([0]), hops=3) == 4
-    assert neighborhood_working_set(g, np.array([3]), hops=5) == 1
+    majority_rate = np.bincount(ds.labels).max() / len(ds.labels)
+    assert majority_rate < 0.05  # 172 classes

@@ -7,43 +7,8 @@ from repro.graph import (
     csc_from_edges,
     planted_partition_edges,
     planted_features_and_labels,
-    rmat_edges,
 )
 from repro.graph.labels import train_val_test_split
-
-
-def test_rmat_shapes_and_ranges():
-    rng = np.random.default_rng(0)
-    src, dst = rmat_edges(1000, 5000, rng)
-    assert len(src) == len(dst) == 5000
-    assert src.min() >= 0 and src.max() < 1000
-    assert dst.min() >= 0 and dst.max() < 1000
-    assert not np.any(src == dst)  # no self loops
-
-
-def test_rmat_is_skewed():
-    rng = np.random.default_rng(1)
-    src, dst = rmat_edges(2000, 40000, rng)
-    g = csc_from_edges(src, dst, 2000, dedup=False)
-    deg = g.in_degree()
-    # Heavy tail: max degree far above mean.
-    assert deg.max() > 8 * deg.mean()
-
-
-def test_rmat_deterministic_per_seed():
-    a = rmat_edges(100, 500, np.random.default_rng(5))
-    b = rmat_edges(100, 500, np.random.default_rng(5))
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-
-
-def test_rmat_validation():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        rmat_edges(1, 10, rng)
-    with pytest.raises(ValueError):
-        rmat_edges(10, -1, rng)
-    with pytest.raises(ValueError):
-        rmat_edges(10, 10, rng, a=0.7, b=0.3, c=0.3)
 
 
 def test_planted_partition_homophily():

@@ -140,12 +140,11 @@ def _train(system, workers=1):
     return run
 
 
-def _serve(resilience):
+def _serve(**kw):
     def run(ds, tc):
-        sc = ServeScenario(name="actor-failure", num_requests=40)
+        sc = ServeScenario(name="actor-failure", num_requests=40, **kw)
         InferenceServer(Machine(sc.machine_spec()), get_dataset("tiny"),
-                        config=sc.serve_config().with_(
-                            resilience=resilience),
+                        config=sc.serve_config(),
                         workload=sc.workload_spec(),
                         train_cfg=sc.train_config()).run()
     return run
@@ -167,8 +166,9 @@ ACTOR_FAILURES = {
     "ginex": (ginex, "train_step", 3, _train("ginex")),
     "mariusgnn": (mariusgnn, "train_step", 3, _train("mariusgnn")),
     "multigpu-2": (driver, "forward_backward", 3, _train("multigpu", 2)),
-    "serve": (server, "predict", 3, _serve("off")),
-    "serve-resilience": (server, "predict", 3, _serve("on")),
+    "serve": (server, "predict", 3, _serve()),
+    "serve-resilience": (server, "predict", 3,
+                         _serve(fault_plan="replica-chaos", num_replicas=2)),
     "cluster": (ClusterSim, "_complete_batch", 5, _cluster),
 }
 

@@ -55,7 +55,8 @@ def test_missing_golden_dir_raises(tmp_path):
 
 
 def test_tampered_golden_reports_divergence(tmp_path):
-    """A corrupted pin is reported with the offending first event."""
+    """A corrupted pin is reported with the offending first event, and
+    so is trace text that no longer matches its (intact) digest."""
     golden_dir = str(tmp_path)
     with open(os.path.join(GOLDEN_DIR, "digests.json")) as fh:
         payload = json.load(fh)
@@ -72,13 +73,18 @@ def test_tampered_golden_reports_divergence(tmp_path):
     for system in GOLDEN_SYSTEMS:
         if system == "gnndrive-gpu":
             continue
-        payload["digests"][system] = payload["digests"][system]
         with open(os.path.join(GOLDEN_DIR, _trace_name(system))) as fh:
-            trace = fh.read()
+            lines = fh.read().splitlines()
+        if system == "serve":
+            lines[7] = lines[7] + "-tampered"
         with open(os.path.join(golden_dir, _trace_name(system)), "w") as fh:
-            fh.write(trace)
+            fh.write("\n".join(lines) + "\n")
     mismatches = check_golden(golden_dir=golden_dir)
-    assert [m["system"] for m in mismatches] == ["gnndrive-gpu"]
+    assert [m["system"] for m in mismatches] == ["gnndrive-gpu", "serve"]
     m = mismatches[0]
     assert m["divergence"]["step"] == 5
     assert "first divergence at step 5" in m["detail"]
+    m = mismatches[1]
+    assert m["current_digest"] == m["golden_digest"]
+    assert m["divergence"]["step"] == 7
+    assert "trace text differs" in m["detail"]

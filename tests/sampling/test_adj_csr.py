@@ -14,7 +14,6 @@ from repro.baselines.mariusgnn import MariusGNN
 from repro.bench.runner import build_system, get_dataset
 from repro.core.base import TrainConfig
 from repro.machine import Machine, MachineSpec
-from repro.models.fullgraph import full_graph_subgraph
 from repro.sampling.neighbor import NeighborSampler
 from repro.sampling.subgraph import LayerAdj
 
@@ -81,9 +80,19 @@ def test_sampler_layers(tiny):
 
 
 def test_fullgraph_unsorted_layers(tiny):
-    sub = full_graph_subgraph(tiny.graph, 3, train_idx=tiny.train_idx)
-    assert not (np.diff(sub.layers[0].dst_pos) >= 0).all()  # unsorted
-    assert_same_as_coo(sub.layers)
+    """The whole graph with its nodes permuted so the training targets
+    come first: destination positions arrive unsorted."""
+    g, n = tiny.graph, tiny.num_nodes
+    targets = np.unique(tiny.train_idx)
+    order = np.concatenate([targets, np.setdiff1d(np.arange(n), targets)])
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    src = position[g.indices]
+    dst = position[np.repeat(np.arange(n), np.diff(g.indptr))]
+    outer = dst < len(targets)
+    assert not (np.diff(dst) >= 0).all()  # unsorted
+    assert_same_as_coo([LayerAdj(src, dst, n, n),
+                        LayerAdj(src[outer], dst[outer], n, len(targets))])
 
 
 def test_mariusgnn_filtered_layers(tiny):

@@ -8,9 +8,10 @@ feature buffer, a reset ring after every crash episode).
 import numpy as np
 import pytest
 
+from repro.errors import SimulationError
 from repro.faults import FaultPlan, FaultSpec, default_replica_chaos_plan
 from repro.serve import ServeScenario, run_serve_scenario
-from repro.serve.resilience import JobQueue
+from repro.serve.resilience import QUEUE_BOUND, JobQueue
 from repro.simcore import Simulator
 
 pytestmark = [pytest.mark.serve, pytest.mark.chaos]
@@ -235,6 +236,31 @@ def test_job_queue_drain_and_close():
     q.check_invariants()
 
 
+def test_job_queue_space_event_waits_above_bound():
+    """The batcher's backpressure wait: pending while the depth exceeds
+    QUEUE_BOUND, fired by the pop that brings it back; a waiter left
+    at or below the bound is an invariant violation."""
+    sim = Simulator()
+    q = JobQueue(sim)
+    for item in range(QUEUE_BOUND + 1):
+        q.push(item)
+    ev = q.space_event()
+    assert not ev.triggered
+    q.check_invariants()
+    assert q.try_pop() == 0
+    assert ev.triggered
+    q.check_invariants()
+    q.push(QUEUE_BOUND + 1)
+    stuck = q.space_event()
+    q._items.popleft()                  # a pop that skips the wake-up
+    q.popped += 1
+    with pytest.raises(SimulationError, match="batcher waits"):
+        q.check_invariants()
+    q.drain()
+    assert stuck.triggered
+    q.check_invariants()
+
+
 def test_job_queue_wakes_waiter():
     sim = Simulator()
     q = JobQueue(sim)
@@ -280,25 +306,34 @@ def test_fault_plan_file_excludes_preset():
         CHAOS.with_(fault_plan_file="x.json")
 
 
-def test_resilience_forced_on_without_faults():
-    """``resilience='on'`` arms the plane even with no fault plan."""
+def test_unarmed_plane_runs_router_and_workers_only():
+    """With no replica specs the plane spawns only the replica workers:
+    no health checker and no hedges, even with two replicas and
+    ``hedge`` on, and the fault ledger stays empty."""
     from repro.bench.runner import get_dataset
     from repro.machine import DEFAULT_SCALE, Machine, MachineSpec
     from repro.serve.server import InferenceServer
 
     sc = CHAOS.with_(fault_plan="none", num_requests=16)
+    assert sc.hedge and sc.num_replicas == 2
     machine = Machine(MachineSpec.paper_scaled(
         host_gb=sc.host_gb, scale=DEFAULT_SCALE, num_gpus=2,
         sanitize=True))
     server = InferenceServer(machine, get_dataset("tiny"),
-                             config=sc.serve_config().with_(
-                                 resilience="on"),
+                             config=sc.serve_config(),
                              workload=sc.workload_spec(),
                              train_cfg=sc.train_config())
+    spawned = []
+    server.watch_actor = spawned.append
     try:
-        assert server.resilience is not None
+        assert server.resilience.hedge_policy is None
         stats = server.run()
+        names = [p.name for p in server._actors]
     finally:
         server.teardown()
     stats.check_accounting()
     assert stats.completed == 16
+    assert spawned == []
+    assert sorted(n for n in names if n.startswith("serve-")) == [
+        "serve-rworker0.0", "serve-rworker1.0"]
+    assert stats.faults == {}

@@ -1,10 +1,13 @@
 """ServeScenario round-trips and validation."""
 
 import json
+import math
+from dataclasses import fields
 
 import pytest
 
-from repro.serve import ServeScenario
+from repro.errors import ConfigError
+from repro.serve import ServeConfig, ServeScenario
 
 pytestmark = pytest.mark.serve
 
@@ -54,3 +57,15 @@ def test_builders_reflect_fields():
     assert s.train_config().model_kind == "gcn"
     assert s.machine_spec().num_gpus == 2
     assert s.resolve_fault_plan() is None
+
+
+FLOAT_FIELDS = [f.name for f in fields(ServeConfig)
+                if f.type in ("float", float)]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_serve_config_rejects_non_finite_floats(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+        ServeConfig(**{field: value})

@@ -1,11 +1,11 @@
-"""Tests for the OS page cache model and mmap access."""
+"""Tests for the OS page cache model."""
 
 import numpy as np
 import pytest
 
 from repro.memory import HostMemory
 from repro.simcore import Simulator
-from repro.storage import FileCatalog, MmapArray, PageCache, SSDDevice, SSDSpec
+from repro.storage import FileCatalog, PageCache, SSDDevice, SSDSpec
 from repro.storage.spec import PAGE_SIZE
 
 
@@ -144,58 +144,3 @@ def test_invalidate_and_flush():
     cache.flush()
     assert cache.resident_pages == 0
 
-
-def test_mmap_read_rows_returns_real_data():
-    sim, dev, host, cache, cat = make_env()
-    data = np.arange(400, dtype=np.float32).reshape(100, 4)
-    fh = cat.create("f", data=data)
-    arr = MmapArray(sim, cache, fh)
-    assert arr.shape == (100, 4)
-    assert len(arr) == 100
-
-    def proc(sim):
-        ev, rows = arr.read_rows(np.array([5, 50]))
-        yield ev
-        return rows
-
-    rows = sim.run_process(proc(sim))
-    assert np.array_equal(rows, data[[5, 50]])
-
-
-def test_mmap_second_read_is_cached():
-    sim, dev, host, cache, cat = make_env(latency=1e-3)
-    data = np.zeros((1000, 128), dtype=np.float32)
-    fh = cat.create("f", data=data)
-    arr = MmapArray(sim, cache, fh)
-
-    def proc(sim):
-        ev, _ = arr.read_rows(np.arange(10))
-        yield ev
-        t1 = sim.now
-        ev, _ = arr.read_rows(np.arange(10))
-        yield ev
-        return t1, sim.now - t1
-
-    t1, t2 = sim.run_process(proc(sim))
-    assert t2 < t1 / 100
-
-
-def test_mmap_requires_data_plane():
-    sim, dev, host, cache, cat = make_env()
-    fh = cat.create("f", nbytes=100)
-    with pytest.raises(ValueError):
-        MmapArray(sim, cache, fh)
-
-
-def test_mmap_read_range():
-    sim, dev, host, cache, cat = make_env()
-    data = np.arange(40, dtype=np.float32).reshape(10, 4)
-    fh = cat.create("f", data=data)
-    arr = MmapArray(sim, cache, fh)
-
-    def proc(sim):
-        ev, rows = arr.read_range(2, 5)
-        yield ev
-        return rows
-
-    assert np.array_equal(sim.run_process(proc(sim)), data[2:5])
