@@ -53,10 +53,6 @@ _GOLDEN_TRACE = os.path.join(
     "tests", "golden", "trace-serve.txt")
 
 
-def _trace_lines(run) -> list:
-    return ["\t".join(str(x) for x in ev) for ev in (run.trace or [])]
-
-
 def _chaos_point(scenario: ServeScenario) -> Dict:
     """One chaos run -> JSON summary with the per-run gate verdicts."""
     run = run_serve_scenario(scenario)
@@ -147,7 +143,7 @@ def run_chaos_serve(output: Optional[str] = "BENCH_chaos_serve.json",
 
     # Gate 4: no replica faults -> the golden serve trace, with and
     # without an (empty) plan attached.
-    from repro.oracle.golden import GOLDEN_SERVE_SCENARIO
+    from repro.oracle.golden import GOLDEN_SERVE_SCENARIO, trace_lines
     golden_ok, golden_detail = True, {}
     try:
         with open(_GOLDEN_TRACE) as fh:
@@ -160,7 +156,7 @@ def run_chaos_serve(output: Optional[str] = "BENCH_chaos_serve.json",
                            fault_plan="empty"))):
         run = run_serve_scenario(scn)
         match = bool(run.ok and golden_lines
-                     and _trace_lines(run) == golden_lines)
+                     and trace_lines(run.trace or []) == golden_lines)
         golden_detail[label] = {"status": run.status,
                                 "digest": run.digest, "match": match}
         golden_ok = golden_ok and match

@@ -67,10 +67,6 @@ _GOLDEN_DIR = os.path.join(
     "tests", "golden")
 
 
-def _trace_lines(run) -> list:
-    return ["\t".join(str(x) for x in ev) for ev in (run.trace or [])]
-
-
 def _cluster_point(scenario: ClusterScenario) -> Dict:
     """One cluster run -> JSON summary with the per-run verdicts."""
     run = run_cluster_scenario(scenario)
@@ -178,7 +174,7 @@ def run_cluster_bench(output: Optional[str] = "BENCH_cluster.json",
     # scenario matches its own pinned digest when one exists.
     from repro.oracle.golden import (GOLDEN_CLUSTER_SCENARIO,
                                      GOLDEN_SERVE_SCENARIO,
-                                     golden_digests)
+                                     golden_digests, trace_lines)
     from repro.serve.scenario import run_serve_scenario
     golden_ok, golden_detail = True, {}
     serve_trace = os.path.join(_GOLDEN_DIR, "trace-serve.txt")
@@ -190,7 +186,7 @@ def run_cluster_bench(output: Optional[str] = "BENCH_cluster.json",
         golden_detail["error"] = f"missing golden trace: {exc}"
     serve_run = run_serve_scenario(GOLDEN_SERVE_SCENARIO)
     serve_match = bool(serve_run.ok and golden_lines
-                       and _trace_lines(serve_run) == golden_lines)
+                       and trace_lines(serve_run.trace or []) == golden_lines)
     golden_detail["serve"] = {"status": serve_run.status,
                               "digest": serve_run.digest,
                               "match": serve_match}

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.errors import ConfigError
+from repro.serve.config import require_finite_floats
 
 _PARTITIONERS = ("hash", "degree")
 
@@ -25,6 +26,7 @@ class ClusterConfig:
     shard's partitions.  ``replication`` copies each partition onto the
     ring's next distinct shards — the failover targets for
     ``shard_down`` and the mirror targets for hot-node hedged reads.
+    Every float field must be finite.
     """
 
     num_shards: int = 4
@@ -70,6 +72,7 @@ class ClusterConfig:
     brownout_floor: float = 0.7
 
     def __post_init__(self):
+        require_finite_floats(self)
         if self.num_shards < 1:
             raise ConfigError("num_shards must be >= 1")
         if not 1 <= self.replication <= self.num_shards:

@@ -5,6 +5,11 @@ GNNDrive "does memory-mapped sampling like PyG+"); this module turns a
 hop frontier into the set of 4 KiB index-array pages the hop faults, so
 the page-cache model can charge hits/misses — the channel through which
 the extract stage's memory pressure slows sampling down (Fig. 2).
+
+A frontier node's adjacency run is read straight from ``graph.indptr``.
+Most runs lie within two pages, and then the runs' first and last pages
+are all the pages the hop touches; only a hop with a longer run (a hub)
+pays for the full per-page expansion.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csc import CSCGraph
+from repro.sampling.neighbor import sorted_unique
 from repro.storage.files import FileHandle
 from repro.storage.page_cache import PageCache
 
@@ -23,28 +29,34 @@ def frontier_pages(cache: PageCache, graph: CSCGraph,
                    frontier: np.ndarray) -> np.ndarray:
     """Unique index-array pages covering the adjacency runs of *frontier*.
 
-    Vectorized: per-node byte spans -> first/last page -> flat
-    repeat/cumsum expansion.  The temporary is sized by the *sum* of
-    the per-node page spans, so one hub node spanning many pages cannot
-    force a ``frontier x max_span`` allocation.
+    Node ``v``'s run is ``graph.indptr[v]:graph.indptr[v + 1]``.  When
+    every non-empty run lies within two pages (the common case), the
+    runs' first and last pages are all the pages.  Otherwise a flat
+    repeat/cumsum expansion lists every page of every run; its
+    temporary is sized by the *sum* of the per-node page spans, so one
+    hub node spanning many pages cannot force a ``frontier x max_span``
+    allocation.
     """
     frontier = np.asarray(frontier, dtype=np.int64)
-    if len(frontier) == 0:
+    lo = graph.indptr[frontier]
+    hi = graph.indptr[frontier + 1]
+    nonempty = hi > lo
+    if not nonempty.all():
+        lo, hi = lo[nonempty], hi[nonempty]
+    if not len(lo):
         return np.empty(0, dtype=np.int64)
-    spans = graph.touched_index_bytes(frontier, itemsize=INDEX_ITEMSIZE)
-    starts, ends = spans[:, 0], spans[:, 1]
-    nonempty = ends > starts
-    if not nonempty.any():
-        return np.empty(0, dtype=np.int64)
-    starts, ends = starts[nonempty], ends[nonempty]
     page = cache.page_size
-    first = starts // page
-    last = (ends - 1) // page
-    counts = last - first + 1
-    total = int(counts.sum())
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts,
-                                           counts)
-    return np.unique(np.repeat(first, counts) + offsets)
+    first = lo * INDEX_ITEMSIZE // page
+    last = (hi * INDEX_ITEMSIZE - 1) // page
+    spans = last - first
+    if spans.max() <= 1:
+        pages = np.concatenate((first, last))
+    else:
+        counts = spans + 1
+        offsets = (np.arange(int(counts.sum()))
+                   - (counts.cumsum() - counts).repeat(counts))
+        pages = first.repeat(counts) + offsets
+    return sorted_unique(pages)
 
 
 def page_access_with_retry(machine, cache: PageCache, handle: FileHandle,

@@ -9,8 +9,6 @@ plane; the on-SSD placement is handled by the dataset bundle.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 
@@ -54,51 +52,6 @@ class CSCGraph:
     def neighbors(self, v: int) -> np.ndarray:
         """In-neighbors of one node (a view, do not mutate)."""
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
-
-    # ------------------------------------------------------------------
-    def neighbor_slices(self, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(start, end) index ranges into ``indices`` for each node."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        return self.indptr[nodes], self.indptr[nodes + 1]
-
-    def touched_index_bytes(self, nodes: np.ndarray, itemsize: int = 8) -> np.ndarray:
-        """Byte ranges of ``indices`` read when expanding *nodes*.
-
-        Returns an (n, 2) array of [start_byte, end_byte) per node — the
-        timing plane uses this to charge page faults for sampling.
-        """
-        starts, ends = self.neighbor_slices(nodes)
-        return np.stack([starts * itemsize, ends * itemsize], axis=1)
-
-    def gather_neighbors(self, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """All in-neighbors of *nodes*, concatenated.
-
-        Returns ``(flat_neighbors, counts)`` where ``counts[i]`` is the
-        degree of ``nodes[i]``.  Fully vectorized (no per-node Python
-        loop): builds one big gather index from the CSC slices.
-        """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        starts, ends = self.neighbor_slices(nodes)
-        counts = ends - starts
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64), counts
-        # Offsets of each node's run inside the output.
-        out_offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        # flat[i] = indices[starts[run(i)] + (i - out_offsets[run(i)])]
-        idx = np.arange(total, dtype=np.int64)
-        run = np.repeat(np.arange(len(nodes)), counts)
-        gather = starts[run] + (idx - out_offsets[run])
-        return self.indices[gather], counts
-
-    # ------------------------------------------------------------------
-    def to_scipy(self):
-        """The adjacency as a ``scipy.sparse.csc_matrix`` (A[u, v]=1 for
-        edge u->v, column v lists in-neighbors)."""
-        from scipy.sparse import csc_matrix
-        data = np.ones(self.num_edges, dtype=np.float32)
-        return csc_matrix((data, self.indices, self.indptr),
-                          shape=(self.num_nodes, self.num_nodes))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"CSCGraph(n={self.num_nodes}, m={self.num_edges})"

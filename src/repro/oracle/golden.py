@@ -58,7 +58,7 @@ GOLDEN_SYSTEMS = ("gnndrive-gpu", "gnndrive-cpu", "multigpu", "pyg+",
 _NUM_WORKERS = {"multigpu": 2}
 
 
-def _trace_lines(trace: List[Tuple]) -> List[str]:
+def trace_lines(trace: List[Tuple]) -> List[str]:
     """Render sanitizer trace tuples as stable text lines.
 
     ``float(when)`` renders a NumPy scalar time like the Python float
@@ -103,7 +103,7 @@ def regen_golden(golden_dir: str = GOLDEN_DIR) -> Dict[str, str]:
                 f"golden regen: {system} did not complete: {run.error}")
         digests[system] = run.digest
         with open(os.path.join(golden_dir, _trace_name(system)), "w") as f:
-            f.write("\n".join(_trace_lines(run.trace)) + "\n")
+            f.write("\n".join(trace_lines(run.trace)) + "\n")
     with open(os.path.join(golden_dir, "digests.json"), "w") as f:
         json.dump({"scenario": GOLDEN_SCENARIO.to_dict(),
                    "serve_scenario": GOLDEN_SERVE_SCENARIO.to_dict(),
@@ -130,7 +130,7 @@ def first_divergence_vs_golden(system: str, trace: List[Tuple],
         return None
     with open(path) as f:
         golden_lines = f.read().splitlines()
-    current_lines = _trace_lines(trace)
+    current_lines = trace_lines(trace)
     for i, (g, c) in enumerate(zip(golden_lines, current_lines)):
         if g != c:
             return {"step": i, "golden": g, "current": c}

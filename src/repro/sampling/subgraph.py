@@ -11,11 +11,29 @@ GNNDrive's samplers enqueue for extraction (§4.1 step 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from dataclasses import dataclass, field
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
+
+
+class CSRStructure(NamedTuple):
+    """The canonical CSR structure of a layer's mean and sum operators.
+
+    Built by :class:`~repro.sampling.neighbor.NeighborSampler`, whose
+    every active row holds exactly ``fanout`` draws of one weight.
+    """
+
+    #: int32 row pointers, ``num_dst + 1`` long.
+    indptr: np.ndarray
+    #: int32 source positions, ascending and distinct within each row.
+    indices: np.ndarray
+    #: How many draws each entry merges.
+    mult: np.ndarray
+    #: float32 table: ``mean_sums[k]`` is ``float32(1) / fanout`` added
+    #: *k* times in sequence, as scipy's ``sum_duplicates`` adds.
+    mean_sums: np.ndarray
 
 
 @dataclass
@@ -26,12 +44,18 @@ class LayerAdj:
     and outer (destination) node sets; ``N_dst == N_src[:num_dst]``.
     Multi-edges are allowed (uniform sampling with replacement) and act
     as aggregation weights.
+
+    A layer the sampler built carries its operators' ``structure``, and
+    :meth:`mean_matrix` and :meth:`sum_matrix` fill it in.  Every other
+    layer (MariusGNN's buffer filter, hand-made ones) and every
+    :meth:`gcn_matrix` builds through :meth:`_csr`.
     """
 
     src_pos: np.ndarray
     dst_pos: np.ndarray
     num_src: int
     num_dst: int
+    structure: Optional[CSRStructure] = field(default=None, repr=False)
 
     def __post_init__(self):
         if len(self.src_pos) != len(self.dst_pos):
@@ -54,12 +78,19 @@ class LayerAdj:
         Rows with no sampled in-edges are zero (their self path still
         contributes through the model's self weight).
         """
+        if self.structure is not None:
+            return self._canonical(
+                self.structure.mean_sums[self.structure.mult])
         deg = np.bincount(self.dst_pos, minlength=self.num_dst).astype(np.float32)
         weights = 1.0 / np.maximum(deg[self.dst_pos], 1.0)
         return self._csr(self.dst_pos, self.src_pos, weights)
 
     def sum_matrix(self) -> sp.csr_matrix:
         """Unnormalised aggregation operator (num_dst x num_src)."""
+        if self.structure is not None:
+            # k ones add up to exactly k in float32.
+            return self._canonical(
+                self.structure.mult.astype(np.float32))
         weights = np.ones(len(self.src_pos), dtype=np.float32)
         return self._csr(self.dst_pos, self.src_pos, weights)
 
@@ -79,6 +110,14 @@ class LayerAdj:
                                np.arange(self.num_dst, dtype=np.int64)])
         vals = np.concatenate([w, 1.0 / (d_dst + 1.0)]).astype(np.float32)
         return self._csr(rows, cols, vals)
+
+    def _canonical(self, data: np.ndarray) -> sp.csr_matrix:
+        """The operator with the sampler-built structure and *data*."""
+        mat = sp.csr_matrix(
+            (data, self.structure.indices, self.structure.indptr),
+            shape=(self.num_dst, self.num_src))
+        mat.has_canonical_format = True
+        return mat
 
     def _csr(self, rows: np.ndarray, cols: np.ndarray,
              vals: np.ndarray) -> sp.csr_matrix:

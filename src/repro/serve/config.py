@@ -19,6 +19,15 @@ _RATE_SHAPES = ("flat", "diurnal", "flash")
 _BACKENDS = ("async", "sync")
 
 
+def require_finite_floats(record) -> None:
+    """Raise :class:`ConfigError` naming the first float field of the
+    dataclass *record* that is NaN or infinite."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class WorkloadSpec:
     """One deterministic arrival process.
@@ -43,6 +52,8 @@ class WorkloadSpec:
       flash_duration)``).  Shaped arrivals come from the dedicated
       ``serve-shaped-arrivals`` stream via time-rescaling, leaving the
       flat path's draws untouched.
+
+    Every float field, and every ``arrivals`` entry, must be finite.
     """
 
     kind: str = "poisson"
@@ -63,6 +74,10 @@ class WorkloadSpec:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite_floats(self)
+        if self.arrivals is not None and not all(
+                math.isfinite(t) for t in self.arrivals):
+            raise ConfigError("arrivals must be finite")
         if self.kind not in _WORKLOAD_KINDS:
             raise ConfigError(f"unknown workload kind {self.kind!r}; "
                               f"known: {_WORKLOAD_KINDS}")
@@ -172,10 +187,7 @@ class ServeConfig:
     brownout_batch_scale: float = 0.5
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        require_finite_floats(self)
         if self.backend not in _BACKENDS:
             raise ConfigError(f"unknown serve backend {self.backend!r}; "
                               f"known: {_BACKENDS}")

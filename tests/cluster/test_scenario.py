@@ -1,11 +1,14 @@
 """Cluster scenarios and plans: JSON round-trips, oracle gating, CLI."""
 
 import json
+import math
 import os
+from dataclasses import fields
 
 import pytest
 
-from repro.cluster import ClusterScenario
+from repro.cluster import ClusterConfig, ClusterScenario
+from repro.errors import ConfigError
 from repro.faults import SHARD_KINDS, FaultPlan, load_plan
 from repro.oracle.oracles import ClusterLoadP99Monotone
 from repro.oracle.scenario import Scenario, ScenarioRunner
@@ -93,3 +96,15 @@ def test_cli_cluster_faults_and_preset_are_exclusive(capsys):
     from repro.cli import main
     rc = main(["cluster", "--shard-chaos", "--faults", EXAMPLE_PLAN])
     assert rc != 0
+
+
+CLUSTER_FLOAT_FIELDS = [f.name for f in fields(ClusterConfig)
+                        if f.type in ("float", float)]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", CLUSTER_FLOAT_FIELDS)
+def test_cluster_config_rejects_non_finite_floats(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+        ClusterConfig(**{field: value})

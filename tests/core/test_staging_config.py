@@ -126,8 +126,8 @@ def test_frontier_pages_cover_adjacency_runs():
     nodes = ds.train_idx[:20]
     pages = frontier_pages(cache, ds.graph, nodes)
     # Every node's span must be covered.
-    spans = ds.graph.touched_index_bytes(nodes)
-    for start, end in spans:
+    indptr = ds.graph.indptr
+    for start, end in zip(indptr[nodes] * 8, indptr[nodes + 1] * 8):
         if end > start:
             assert start // 4096 in pages
             assert (end - 1) // 4096 in pages

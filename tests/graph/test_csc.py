@@ -38,32 +38,6 @@ def test_dedup_removes_duplicate_edges():
     assert g2.num_edges == 3
 
 
-def test_gather_neighbors_vectorized_matches_loop():
-    rng = np.random.default_rng(0)
-    src = rng.integers(0, 50, 400)
-    dst = rng.integers(0, 50, 400)
-    g = csc_from_edges(src, dst, num_nodes=50)
-    nodes = np.array([3, 17, 3, 42, 0])
-    flat, counts = g.gather_neighbors(nodes)
-    expected = np.concatenate([g.neighbors(v) for v in nodes]) if len(nodes) else []
-    assert np.array_equal(flat, expected)
-    assert np.array_equal(counts, [len(g.neighbors(v)) for v in nodes])
-
-
-def test_gather_neighbors_empty():
-    g = small_graph()
-    flat, counts = g.gather_neighbors(np.array([3]))
-    assert len(flat) == 0
-    assert list(counts) == [0]
-
-
-def test_touched_index_bytes():
-    g = small_graph()
-    spans = g.touched_index_bytes(np.array([1]), itemsize=8)
-    start, end = spans[0]
-    assert (end - start) == 2 * 8  # two in-neighbors
-
-
 def test_validation_errors():
     with pytest.raises(ValueError):
         CSCGraph(np.array([1, 2]), np.array([0]))  # indptr[0] != 0
@@ -73,14 +47,6 @@ def test_validation_errors():
         CSCGraph(np.array([0, 1]), np.array([5]))  # index out of range
     with pytest.raises(ValueError):
         csc_from_edges(np.array([0]), np.array([9]), num_nodes=2)
-
-
-def test_to_scipy_round_trip():
-    g = small_graph()
-    m = g.to_scipy()
-    assert m.shape == (4, 4)
-    # Column v holds in-neighbors of v.
-    assert set(m[:, 1].nonzero()[0]) == {0, 2}
 
 
 def test_make_undirected_doubles_edges():

@@ -73,10 +73,15 @@ def tiny():
 
 
 def test_sampler_layers(tiny):
-    sampler = NeighborSampler(tiny.graph, (10, 10, 10),
-                              np.random.default_rng(0))
-    for seeds in np.array_split(np.arange(tiny.num_nodes), 4):
-        assert_same_as_coo(sampler.sample(seeds[:50]).layers)
+    """Sampler layers carry the sampler-built structure; the paper-scale
+    case has the serve and train fanouts, (25, 25) merges many repeats."""
+    paper = get_dataset("papers100m-mini", scale=0.2)
+    for ds, fanouts in ((tiny, (10, 10, 10)), (tiny, (25, 25)),
+                        (paper, (3, 3, 3))):
+        sampler = NeighborSampler(ds.graph, fanouts,
+                                  np.random.default_rng(0))
+        for seeds in np.array_split(np.arange(ds.num_nodes), 4):
+            assert_same_as_coo(sampler.sample(seeds[:50]).layers)
 
 
 def test_fullgraph_unsorted_layers(tiny):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph import csc_from_edges
 from repro.sampling import NeighborSampler
+from tests.sampling.test_adj_csr import assert_same_as_coo
 
 
 @st.composite
@@ -58,6 +59,10 @@ def test_sampler_structural_invariants(params):
             counts = np.bincount(layer.dst_pos)
             assert counts.max() <= max(fanouts)
         prev_size = layer.num_src
+
+    # The operators equal the COO route's byte for byte; the graphs
+    # have self-loops and repeated edges.
+    assert_same_as_coo(sub.layers)
 
 
 @settings(max_examples=60, deadline=None)

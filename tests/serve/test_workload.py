@@ -1,6 +1,7 @@
 """Workload generators: determinism, shapes, arrival laws."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -79,3 +80,22 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="empty seed pool"):
         build_requests(WorkloadSpec(num_requests=1),
                        np.array([], dtype=np.int64), slo=0.05)
+
+
+WORKLOAD_FLOAT_FIELDS = [f.name for f in fields(WorkloadSpec)
+                         if f.type in ("float", float)]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", WORKLOAD_FLOAT_FIELDS)
+def test_spec_rejects_non_finite_floats(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+        WorkloadSpec(**{field: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_spec_rejects_non_finite_arrivals(value):
+    with pytest.raises(ConfigError, match="^arrivals must be finite"):
+        WorkloadSpec(kind="trace", num_requests=2, arrivals=(0.0, value))
