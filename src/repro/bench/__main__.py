@@ -1,165 +1,192 @@
-"""``python -m repro.bench`` — benchmark command-line entry points.
+"""``python -m repro.bench`` — one bench registry and one driver.
 
 Subcommands::
 
-    python -m repro.bench determinism [-o BENCH_determinism.json]
-    python -m repro.bench faults [-o BENCH_faults.json] [--plan plan.json]
-    python -m repro.bench oracle [-o BENCH_oracle.json] [--fuzz N] [--regen]
-    python -m repro.bench serve [-o BENCH_serve.json] [--smoke]
-    python -m repro.bench chaos_serve [-o BENCH_chaos_serve.json] [--smoke]
-    python -m repro.bench cluster [-o BENCH_cluster.json] [--smoke]
-    python -m repro.bench races [-o BENCH_races.json] [--check]
-    python -m repro.bench compare OLD.json NEW.json \
-        [--fail-on-regression] [--threshold PCT] [--alpha A] \
-        [--gate-kinds KIND,...] [--report FILE.md]
+    python -m repro.bench determinism [--systems S ...] [--epochs N]
+    python -m repro.bench faults [--systems S ...] [--epochs N] [--plan F]
+    python -m repro.bench oracle [--fuzz N] [--fuzz-seed S] [--no-golden]
+                                 [--regen]
+    python -m repro.bench serve [--smoke] [--rates R ...]
+    python -m repro.bench chaos_serve [--smoke]
+    python -m repro.bench cluster [--smoke]
+    python -m repro.bench races [--smoke]
+    python -m repro.bench compare OLD.json NEW.json \\
+        [--fail-on-regression] [--threshold PCT] [--alpha A] \\
+        [--gate-kinds KIND,...] [--report FILE.md] [--json FILE]
 
-``determinism`` replays every system twice under the runtime
-sanitizer and diffs the event traces (see
-:mod:`repro.bench.determinism`); ``faults`` chaos-runs every system
-under a deterministic fault plan and checks the recovery runtime
-survives it (see :mod:`repro.bench.faults`); ``oracle`` checks the
-differential/metamorphic oracle catalogue over the scenario matrix,
-the pinned golden traces, and a seeded scenario fuzz (see
-:mod:`repro.bench.oracle`); ``serve`` sweeps offered load over the two
-inference-serving backends and checks the async backend's saturation
-advantage plus the SLO-accounting invariants (see
-:mod:`repro.bench.serve`); ``chaos_serve`` runs the serving plane under
-the replica-chaos plan and checks lossless accounting, the hedged-p99
-win, determinism, and that the PR 5 serve golden is untouched (see
-:mod:`repro.bench.chaos_serve`); ``cluster`` runs the sharded serving
-cluster and checks determinism, the hedged-p99 win on Zipf skew, the
-zero-loss brownout floor under ``shard_down`` with replication, and
-that the no-cluster goldens are untouched, plus a million-request
-scale point in full mode (see
-:mod:`repro.bench.cluster`); ``races`` runs the static RACE2xx sweep and
-replays every run path over the oracle matrix under the runtime race
-detector, requiring zero unwaived conflicts, zero deadlock cycles, and
-bit-identical digests with the detector on or off (see
-:mod:`repro.bench.races`).  All write a JSON artifact and exit
-non-zero on failure.
+Every bench also takes ``-o/--output`` (default ``BENCH_<name>.json``),
+``--runs N`` and ``--quiet``.
 
-Every bench runs its measured phase through the repeated-run executor
-(:mod:`repro.bench.stats`): ``--runs N`` (or ``REPRO_BENCH_RUNS``)
-controls the recorded repetitions, and every artifact carries a
-``stats`` block with per-metric mean/stddev/percentiles, bootstrap
-confidence intervals and an environment fingerprint.  ``compare``
-diffs two such artifacts metric-by-metric with Welch's t-test and a
-CI-overlap heuristic, classifying each as improved / unchanged /
-regressed; ``--fail-on-regression`` turns that into the CI gate.
+Each bench is one :data:`REGISTRY` entry: its help, its own flags, and
+the help of its ``--smoke`` sizing when it has one.  Its module
+``repro.bench.<name>``, imported only when the subcommand runs, has a
+``run(verbose=..., **flags)`` that runs the bench's gates once and
+returns four things: the gate artifact (with ``ok``), the measured-phase
+cases (``{case: measure(rep) -> {metric: value}}``), their metric specs
+and the stats config.  :func:`run_bench` owns everything else: the run
+plan (``--runs``, or ``REPRO_BENCH_RUNS`` / ``REPRO_BENCH_WARMUP``),
+timing each case call into ``wall_s``, the interleaved measured phase,
+the summaries, the ``stats`` block, the artifact file and the exit code
+(0 iff ``ok``).  A module may also define ``derive(samples) -> samples``
+to rename or combine the raw samples before they are summarised (races
+pairs its runs into overhead ratios).  A ``run`` that returns no cases
+(``oracle --regen``) measures and writes nothing.
+
+``compare`` diffs two artifacts metric-by-metric with Welch's t-test
+and a CI-overlap heuristic (:mod:`repro.bench.stats`).  Under
+``--fail-on-regression`` it exits 1 when a metric of a gated kind
+regressed or when an OLD metric of a gated kind is missing from NEW.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
+from dataclasses import dataclass
+from typing import Callable, Dict, Mapping, Optional, Tuple
+
+from repro.bench import stats as bstats
+
+Flag = Tuple[Tuple[str, ...], Dict]
 
 
-def _add_runs(sub_parser) -> None:
-    sub_parser.add_argument(
-        "--runs", type=int, default=None,
-        help="recorded repetitions of the measured phase (default: "
-             "REPRO_BENCH_RUNS or 5; warmup via REPRO_BENCH_WARMUP)")
+def _flag(*names: str, **kwargs) -> Flag:
+    return names, kwargs
 
 
-def main(argv=None) -> int:
+@dataclass(frozen=True)
+class Bench:
+    """One registry entry: the subcommand's help, its own flags as
+    ``(names, add_argument kwargs)`` pairs, and the help of its
+    ``--smoke`` flag (None when the bench has no smoke sizing)."""
+
+    help: str
+    flags: Tuple[Flag, ...] = ()
+    smoke: Optional[str] = None
+
+
+_EPOCHS = _flag("--epochs", type=int, default=2,
+                help="epochs per run (default: %(default)s)")
+
+REGISTRY: Dict[str, Bench] = {
+    "determinism": Bench(
+        "replay systems twice under the sanitizer and diff traces",
+        flags=(_flag("--systems", nargs="+",
+                     help="systems to replay (default: gnndrive-gpu pyg+ "
+                          "ginex)"),
+               _EPOCHS)),
+    "faults": Bench(
+        "chaos-run every system under a deterministic fault plan",
+        flags=(_flag("--systems", nargs="+",
+                     help="systems to run (default: all five)"),
+               _EPOCHS,
+               _flag("--plan", help="fault-plan JSON file (default: the "
+                                    "built-in chaos plan)"))),
+    "oracle": Bench(
+        "correctness oracles: matrix + golden traces + scenario fuzz",
+        flags=(_flag("--fuzz", type=int, default=50,
+                     help="sampled fuzz scenarios (default: %(default)s; "
+                          "0 disables the fuzz layer)"),
+               _flag("--fuzz-seed", type=int, default=0,
+                     help="scenario-sampler seed (default: %(default)s)"),
+               _flag("--no-golden", dest="golden", action="store_false",
+                     help="skip the golden-digest layer"),
+               _flag("--regen", action="store_true",
+                     help="rewrite tests/golden/ instead of checking "
+                          "(measures and writes nothing)"))),
+    "serve": Bench(
+        "offered-load sweep over the serving backends",
+        flags=(_flag("--rates", nargs="+", type=float,
+                     help="offered-load grid override (requests/second)"),),
+        smoke="tiny CI sweep: accounting + determinism gates only, no 2x "
+              "saturation requirement"),
+    "chaos_serve": Bench(
+        "replica failure domain under load: lossless accounting, hedging "
+        "p99 win, determinism, golden-unchanged",
+        smoke="CI sizing: fewer requests, same four gates"),
+    "cluster": Bench(
+        "sharded serving cluster: determinism, hedged-p99 win, zero-loss "
+        "brownout floor under shard_down, golden-unchanged",
+        smoke="CI sizing: fewer requests, no scale point, same four gates"),
+    "races": Bench(
+        "static RACE2xx sweep + runtime race/deadlock detection over "
+        "every run path",
+        smoke="CI sizing: first matrix scenario only"),
+}
+
+#: Parsed options the driver consumes; every other one is a bench flag.
+_DRIVER_DESTS = ("command", "output", "runs", "quiet")
+
+Case = Callable[[int], Mapping[str, float]]
+
+
+def measure(cases: Mapping[str, Case],
+            specs: Mapping[str, bstats.MetricSpec], plan: bstats.RunPlan,
+            derive: Optional[Callable] = None) -> Dict[str, Dict]:
+    """The measured phase: time every case call into ``wall_s``, run the
+    cases interleaved under *plan*, and summarise each metric."""
+
+    def timed(case: Case) -> Case:
+        def run(rep: int) -> Dict[str, float]:
+            values, wall = bstats.timed_call(lambda: case(rep))
+            return {"wall_s": wall, **values}
+        return run
+
+    samples = bstats.interleaved_measure(
+        {name: timed(case) for name, case in cases.items()}, plan)
+    if derive is not None:
+        samples = derive(samples)
+    return bstats.summarize_metrics(
+        samples, {"wall_s": bstats.WALL_S, **specs}, ci_seed=plan.seed)
+
+
+def run_bench(name: str, args: argparse.Namespace) -> int:
+    """Run bench *name*'s gates, then its measured phase; write the
+    artifact with its ``stats`` block and return the exit code."""
+    from repro.bench.results_io import save_artifact
+
+    module = importlib.import_module(f"repro.bench.{name}")
+    flags = {k: v for k, v in vars(args).items() if k not in _DRIVER_DESTS}
+    verbose = not args.quiet
+    artifact, cases, specs, config = module.run(verbose=verbose, **flags)
+    if cases is not None:
+        plan = bstats.RunPlan.from_env(runs=args.runs)
+        metrics = measure(cases, specs, plan,
+                          getattr(module, "derive", None))
+        stamp = {"bench": name}
+        if REGISTRY[name].smoke:
+            stamp["mode"] = artifact["mode"] = ("smoke" if args.smoke
+                                                else "full")
+        artifact["stats"] = bstats.build_stats_block(
+            metrics, plan, config={**stamp, **config})
+        save_artifact(artifact, args.output)
+    if verbose:
+        print(f"{name} bench: {'ok' if artifact['ok'] else 'FAIL'}")
+        if cases is not None:
+            print(f"wrote {args.output}")
+    return 0 if artifact["ok"] else 1
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="repro benchmark entry points")
     sub = parser.add_subparsers(dest="command", required=True)
-    det = sub.add_parser(
-        "determinism",
-        help="replay systems twice under the sanitizer and diff traces")
-    det.add_argument("-o", "--output", default="BENCH_determinism.json",
-                     help="output JSON path (default: %(default)s)")
-    det.add_argument("--systems", nargs="+", default=None,
-                     help="systems to replay (default: gnndrive-gpu "
-                          "pyg+ ginex)")
-    det.add_argument("--epochs", type=int, default=2,
-                     help="epochs per run (default: %(default)s)")
-    det.add_argument("--quiet", action="store_true",
-                     help="suppress the per-system table")
-    flt = sub.add_parser(
-        "faults",
-        help="chaos-run every system under a deterministic fault plan")
-    flt.add_argument("-o", "--output", default="BENCH_faults.json",
-                     help="output JSON path (default: %(default)s)")
-    flt.add_argument("--systems", nargs="+", default=None,
-                     help="systems to run (default: all five)")
-    flt.add_argument("--epochs", type=int, default=2,
-                     help="epochs per run (default: %(default)s)")
-    flt.add_argument("--plan", default=None,
-                     help="fault-plan JSON file (default: the built-in "
-                          "chaos plan)")
-    flt.add_argument("--quiet", action="store_true",
-                     help="suppress the per-system table")
-    orc = sub.add_parser(
-        "oracle",
-        help="correctness oracles: matrix + golden traces + scenario "
-             "fuzz (writes BENCH_oracle.json)")
-    orc.add_argument("-o", "--output", default="BENCH_oracle.json",
-                     help="output JSON path (default: %(default)s)")
-    orc.add_argument("--fuzz", type=int, default=50,
-                     help="sampled fuzz scenarios (default: %(default)s; "
-                          "0 disables the fuzz layer)")
-    orc.add_argument("--fuzz-seed", type=int, default=0,
-                     help="scenario-sampler seed (default: %(default)s)")
-    orc.add_argument("--no-golden", action="store_true",
-                     help="skip the golden-digest layer")
-    orc.add_argument("--regen", action="store_true",
-                     help="rewrite tests/golden/ instead of checking")
-    orc.add_argument("--quiet", action="store_true",
-                     help="suppress the per-scenario lines")
-    srv = sub.add_parser(
-        "serve",
-        help="offered-load sweep over the serving backends (writes "
-             "BENCH_serve.json)")
-    srv.add_argument("-o", "--output", default="BENCH_serve.json",
-                     help="output JSON path (default: %(default)s)")
-    srv.add_argument("--smoke", action="store_true",
-                     help="tiny CI sweep: accounting + determinism "
-                          "gates only, no 2x saturation requirement")
-    srv.add_argument("--rates", nargs="+", type=float, default=None,
-                     help="offered-load grid override (requests/second)")
-    srv.add_argument("--quiet", action="store_true",
-                     help="suppress the per-point lines")
-    cs = sub.add_parser(
-        "chaos_serve",
-        help="replica failure domain under load: lossless accounting, "
-             "hedging p99 win, determinism, golden-unchanged (writes "
-             "BENCH_chaos_serve.json)")
-    cs.add_argument("-o", "--output", default="BENCH_chaos_serve.json",
-                    help="output JSON path (default: %(default)s)")
-    cs.add_argument("--smoke", action="store_true",
-                    help="CI sizing: fewer requests, same four gates")
-    cs.add_argument("--quiet", action="store_true",
-                    help="suppress the per-run lines")
-    cl = sub.add_parser(
-        "cluster",
-        help="sharded serving cluster: determinism, hedged-p99 win, "
-             "zero-loss brownout floor under shard_down, golden-"
-             "unchanged (writes BENCH_cluster.json)")
-    cl.add_argument("-o", "--output", default="BENCH_cluster.json",
-                    help="output JSON path (default: %(default)s)")
-    cl.add_argument("--smoke", action="store_true",
-                    help="CI sizing: fewer requests, no scale point, "
-                         "same four gates")
-    cl.add_argument("--quiet", action="store_true",
-                    help="suppress the per-run lines")
-    rc = sub.add_parser(
-        "races",
-        help="static RACE2xx sweep + runtime race/deadlock detection "
-             "over every run path (writes BENCH_races.json)")
-    rc.add_argument("-o", "--output", default="BENCH_races.json",
-                    help="output JSON path (default: %(default)s)")
-    rc.add_argument("--check", action="store_true",
-                    help="CI smoke: first scenario only, one timing run")
-    rc.add_argument("--overhead-runs", type=int, default=None,
-                    help="timing repetitions for the overhead layer "
-                         "(default: REPRO_BENCH_RUNS or 5)")
-    rc.add_argument("--quiet", action="store_true",
-                    help="suppress the per-run lines")
-    for p in (det, flt, orc, srv, cs, cl):
-        _add_runs(p)
+    for name, bench in REGISTRY.items():
+        p = sub.add_parser(name, help=bench.help)
+        p.add_argument("-o", "--output", default=f"BENCH_{name}.json",
+                       help="output JSON path (default: %(default)s)")
+        p.add_argument("--runs", type=int, default=None,
+                       help="recorded repetitions of the measured phase "
+                            "(default: REPRO_BENCH_RUNS or 5; warmup via "
+                            "REPRO_BENCH_WARMUP)")
+        p.add_argument("--quiet", action="store_true",
+                       help="suppress the per-run lines")
+        if bench.smoke:
+            p.add_argument("--smoke", action="store_true", help=bench.smoke)
+        for names, kwargs in bench.flags:
+            p.add_argument(*names, **kwargs)
     cp = sub.add_parser(
         "compare",
         help="statistical OLD-vs-NEW artifact comparison "
@@ -173,7 +200,8 @@ def main(argv=None) -> int:
     cp.add_argument("--alpha", type=float, default=None,
                     help="Welch-test significance level (default: 0.05)")
     cp.add_argument("--fail-on-regression", action="store_true",
-                    help="exit 1 when any gated metric regressed")
+                    help="exit 1 when any gated metric regressed or is "
+                         "missing from NEW")
     cp.add_argument("--gate-kinds", default=None,
                     help="comma-separated metric kinds eligible to fail "
                          "the gate (e.g. 'simulated,count' for "
@@ -184,68 +212,20 @@ def main(argv=None) -> int:
                     help="also write the full comparison as JSON to FILE")
     cp.add_argument("--quiet", action="store_true",
                     help="suppress the markdown table on stdout")
-    args = parser.parse_args(argv)
+    return parser
 
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     if args.command == "compare":
         return run_compare(args)
-
-    if args.command == "determinism":
-        from repro.bench.determinism import DEFAULT_SYSTEMS, run_determinism
-        artifact = run_determinism(
-            systems=tuple(args.systems) if args.systems else DEFAULT_SYSTEMS,
-            epochs=args.epochs, output=args.output,
-            verbose=not args.quiet, runs=args.runs)
-        return 0 if artifact["deterministic"] else 1
-    if args.command == "faults":
-        from repro.bench.faults import run_faults
-        from repro.bench.runner import SYSTEM_NAMES
-        from repro.faults import load_plan
-        plan = load_plan(args.plan) if args.plan else None
-        artifact = run_faults(
-            systems=tuple(args.systems) if args.systems else SYSTEM_NAMES,
-            plan=plan, epochs=args.epochs, output=args.output,
-            verbose=not args.quiet, runs=args.runs)
-        return 0 if artifact["completed"] else 1
-    if args.command == "oracle":
-        from repro.bench.oracle import run_oracle, run_regen
-        if args.regen:
-            return 0 if run_regen(verbose=not args.quiet)["ok"] else 1
-        artifact = run_oracle(fuzz=args.fuzz, fuzz_seed=args.fuzz_seed,
-                              golden=not args.no_golden,
-                              output=args.output, verbose=not args.quiet,
-                              runs=args.runs)
-        return 0 if artifact["ok"] else 1
-    if args.command == "serve":
-        from repro.bench.serve import run_serve_bench
-        artifact = run_serve_bench(output=args.output, smoke=args.smoke,
-                                   rates=args.rates,
-                                   verbose=not args.quiet, runs=args.runs)
-        return 0 if artifact["ok"] else 1
-    if args.command == "chaos_serve":
-        from repro.bench.chaos_serve import run_chaos_serve
-        artifact = run_chaos_serve(output=args.output, smoke=args.smoke,
-                                   verbose=not args.quiet, runs=args.runs)
-        return 0 if artifact["ok"] else 1
-    if args.command == "cluster":
-        from repro.bench.cluster import run_cluster_bench
-        artifact = run_cluster_bench(output=args.output, smoke=args.smoke,
-                                     verbose=not args.quiet,
-                                     runs=args.runs)
-        return 0 if artifact["ok"] else 1
-    if args.command == "races":
-        from repro.bench.races import run_races
-        artifact = run_races(check=args.check,
-                             overhead_runs=args.overhead_runs,
-                             output=args.output, verbose=not args.quiet)
-        return 0 if artifact["ok"] else 1
-    return 2
+    return run_bench(args.command, args)
 
 
 def run_compare(args) -> int:
     """``compare`` subcommand: classify OLD -> NEW metric shifts."""
     import json
 
-    from repro.bench import stats as bstats
     from repro.bench.report import format_comparison_markdown
     from repro.bench.results_io import load_artifact
 
@@ -258,9 +238,15 @@ def run_compare(args) -> int:
     threshold = (bstats.DEFAULT_THRESHOLD_PCT if args.threshold is None
                  else args.threshold)
     alpha = bstats.DEFAULT_ALPHA if args.alpha is None else args.alpha
-    report = bstats.compare_artifacts(old_doc, new_doc,
-                                      threshold_pct=threshold,
-                                      alpha=alpha)
+    try:
+        report = bstats.compare_artifacts(old_doc, new_doc,
+                                          threshold_pct=threshold,
+                                          alpha=alpha)
+    except ValueError as exc:
+        # The message starts with the parameter's name: "threshold
+        # must ..." or "alpha must ...".
+        print(f"compare: --{exc}", file=sys.stderr)
+        return 2
     gate_kinds = None
     if args.gate_kinds:
         gate_kinds = tuple(k.strip() for k in args.gate_kinds.split(",")
@@ -276,11 +262,16 @@ def run_compare(args) -> int:
             json.dump(report.to_dict(), fh, indent=1, default=str)
             fh.write("\n")
     regressions = report.regressions(gate_kinds)
-    if regressions and not args.quiet:
-        names = ", ".join(c.name for c in regressions)
-        print(f"\ncompare: {len(regressions)} gated regression(s): "
-              f"{names}", file=sys.stderr)
-    if args.fail_on_regression and regressions:
+    removals = report.removals(gate_kinds)
+    if not args.quiet:
+        if regressions:
+            names = ", ".join(c.name for c in regressions)
+            print(f"\ncompare: {len(regressions)} gated regression(s): "
+                  f"{names}", file=sys.stderr)
+        if removals:
+            print(f"compare: {len(removals)} gated metric(s) missing from "
+                  f"NEW: {', '.join(removals)}", file=sys.stderr)
+    if args.fail_on_regression and (regressions or removals):
         return 1
     return 0
 

@@ -21,8 +21,8 @@ exit code:
    seed yields an identical sanitizer trace digest.
 4. **Golden unchanged** — with no replica faults the resilience plane
    runs only its router and workers, and the pinned serve scenario
-   still reproduces ``tests/golden/trace-serve.txt`` bit-identically,
-   with or without an (empty) fault plan attached.
+   still reproduces its golden digest and ``tests/golden/trace-serve.txt``
+   bit-identically, with or without an (empty) fault plan attached.
 
 ``--smoke`` shrinks the request counts for CI; all four gates still
 run.
@@ -30,13 +30,11 @@ run.
 
 from __future__ import annotations
 
-import math
-import os
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.bench import stats as bstats
-from repro.bench.results_io import save_artifact
-from repro.bench.serve import serve_stats_dict
+from repro.bench.serve import hedge_verdict, scenario_point, stats_case
+from repro.oracle.golden import GOLDEN_SERVE_SCENARIO, golden_mismatch
 from repro.serve.scenario import ServeScenario, run_serve_scenario
 
 #: Chaos base: two replicas under the default replica-chaos plan, open
@@ -47,75 +45,27 @@ CHAOS_BASE = ServeScenario(
     fault_plan="replica-chaos", seed=7)
 SMOKE_REQUESTS = 40
 
-_GOLDEN_TRACE = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__))))),
-    "tests", "golden", "trace-serve.txt")
+#: Measured-phase metrics: {metric: ServeStats attribute} and specs.
+_MEASURED = {"p99_s": "latency_p99", "completed": "completed",
+             "failed": "failed"}
+_SPECS = {"p99_s": bstats.SIM_S, "completed": bstats.COUNT_INFO,
+          "failed": bstats.COUNT_BAD}
 
 
 def _chaos_point(scenario: ServeScenario) -> Dict:
-    """One chaos run -> JSON summary with the per-run gate verdicts."""
-    run = run_serve_scenario(scenario)
-    point: Dict = {"backend": scenario.backend, "hedge": scenario.hedge,
-                   "status": run.status, "digest": run.digest,
-                   "findings": list(run.findings)}
-    if not run.ok:
-        point["error"] = run.error
-        point["lossless"] = False
-        return point
-    s = run.stats
-    accounting_ok = True
-    try:
-        s.check_accounting()
-    except ValueError as exc:
-        accounting_ok = False
-        point["error"] = str(exc)
-    point["stats"] = serve_stats_dict(s)
-    terminal = s.completed + s.shed + s.timed_out + s.failed
-    point["lossless"] = bool(accounting_ok and terminal == s.offered
-                             and not run.findings)
+    """One chaos run -> its point with the lossless verdict
+    (``check_accounting`` includes the terminal-state identity)."""
+    point = scenario_point(run_serve_scenario(scenario),
+                           backend=scenario.backend, hedge=scenario.hedge)
+    point["lossless"] = bool(point["accounting_ok"]
+                             and not point["findings"])
     return point
 
 
-def _measured_phase(base: ServeScenario,
-                    plan: bstats.RunPlan) -> Dict[str, Dict]:
-    """Repeated hedged vs unhedged chaos runs, interleaved in the
-    seeded executor order.  The simulated tail latencies and terminal
-    counters are deterministic per plan + seed; wall time is the real
-    measurement."""
-
-    def case(scenario: ServeScenario):
-        def measure(_rep: int) -> Dict[str, float]:
-            point, dt = bstats.timed_call(lambda: _chaos_point(scenario))
-            out = {"wall_s": dt}
-            s = point.get("stats")
-            if s is not None:
-                out.update(p99_s=s["latency_p99"],
-                           completed=float(s["completed"]),
-                           failed=float(s["failed"]))
-            return out
-        return measure
-
-    samples = bstats.interleaved_measure(
-        {"hedged": case(base), "unhedged": case(base.with_(hedge=False))},
-        plan)
-    return bstats.summarize_metrics(
-        samples,
-        {"wall_s": bstats.WALL_S, "p99_s": bstats.SIM_S,
-         "completed": bstats.COUNT_INFO, "failed": bstats.COUNT_BAD},
-        ci_seed=plan.seed)
-
-
-def run_chaos_serve(output: Optional[str] = "BENCH_chaos_serve.json",
-                    smoke: bool = False,
-                    verbose: bool = True,
-                    runs: Optional[int] = None) -> Dict:
-    """Run the chaos-serve gates and write the artifact.
-
-    *runs* (or ``REPRO_BENCH_RUNS``) sets the measured-phase
-    repetitions recorded in the ``stats`` block; the gates run once.
-    """
-    run_plan = bstats.RunPlan.from_env(runs=runs)
+def run(smoke: bool = False, verbose: bool = True):
+    """Run the chaos-serve gates; see module docs.  Returns the gate
+    artifact, the measured-phase cases (hedged vs unhedged chaos runs),
+    their specs and the stats config."""
     base = CHAOS_BASE
     if smoke:
         base = base.with_(num_requests=SMOKE_REQUESTS)
@@ -128,13 +78,8 @@ def run_chaos_serve(output: Optional[str] = "BENCH_chaos_serve.json",
 
     # Gate 2: hedged p99 beats unhedged p99 on the same plan/seed.
     unhedged = _chaos_point(base.with_(hedge=False))
-    hedged_p99 = (points["async"].get("stats") or {}).get(
-        "latency_p99", float("nan"))
-    unhedged_p99 = (unhedged.get("stats") or {}).get(
-        "latency_p99", float("nan"))
-    hedge_wins = bool(not math.isnan(hedged_p99)
-                      and not math.isnan(unhedged_p99)
-                      and hedged_p99 < unhedged_p99)
+    hedged_p99, unhedged_p99, hedge_wins = hedge_verdict(points["async"],
+                                                         unhedged)
 
     # Gate 3: same plan, same seed -> identical trace digest.
     replay = _chaos_point(base)
@@ -142,29 +87,16 @@ def run_chaos_serve(output: Optional[str] = "BENCH_chaos_serve.json",
                          and replay["digest"] == points["async"]["digest"])
 
     # Gate 4: no replica faults -> the golden serve trace, with and
-    # without an (empty) plan attached.
-    from repro.oracle.golden import GOLDEN_SERVE_SCENARIO, trace_lines
-    golden_ok, golden_detail = True, {}
-    try:
-        with open(_GOLDEN_TRACE) as fh:
-            golden_lines = fh.read().splitlines()
-    except OSError as exc:
-        golden_ok, golden_lines = False, []
-        golden_detail["error"] = f"missing golden trace: {exc}"
-    for label, scn in (("none", GOLDEN_SERVE_SCENARIO),
-                       ("empty", GOLDEN_SERVE_SCENARIO.with_(
-                           fault_plan="empty"))):
-        run = run_serve_scenario(scn)
-        match = bool(run.ok and golden_lines
-                     and trace_lines(run.trace or []) == golden_lines)
-        golden_detail[label] = {"status": run.status,
-                                "digest": run.digest, "match": match}
-        golden_ok = golden_ok and match
+    # without an (empty) plan attached.  None = matches the pin.
+    golden = {label: golden_mismatch("serve", run_serve_scenario(scn))
+              for label, scn in (("none", GOLDEN_SERVE_SCENARIO),
+                                 ("empty", GOLDEN_SERVE_SCENARIO.with_(
+                                     fault_plan="empty")))}
+    golden_ok = all(m is None for m in golden.values())
 
     ok = bool(lossless and hedge_wins and deterministic and golden_ok)
     artifact = {
         "ok": ok,
-        "mode": "smoke" if smoke else "full",
         "scenario_base": base.to_dict(),
         "points": points,
         "unhedged": unhedged,
@@ -176,12 +108,7 @@ def run_chaos_serve(output: Optional[str] = "BENCH_chaos_serve.json",
             "deterministic": deterministic,
             "golden_unchanged": golden_ok,
         },
-        "golden": golden_detail,
-        "stats": bstats.build_stats_block(
-            _measured_phase(base, run_plan), run_plan,
-            config={"bench": "chaos_serve",
-                    "mode": "smoke" if smoke else "full",
-                    "scenario_base": base.to_dict()}),
+        "golden": golden,
     }
     if verbose:
         for backend, p in points.items():
@@ -202,8 +129,7 @@ def run_chaos_serve(output: Optional[str] = "BENCH_chaos_serve.json",
         print(f"lossless={'ok' if lossless else 'FAIL'} "
               f"determinism={'ok' if deterministic else 'FAIL'} "
               f"golden={'ok' if golden_ok else 'FAIL'}")
-    if output:
-        save_artifact(artifact, output)
-        if verbose:
-            print(f"wrote {output}")
-    return artifact
+    cases = {"hedged": stats_case(run_serve_scenario, base, _MEASURED),
+             "unhedged": stats_case(run_serve_scenario,
+                                    base.with_(hedge=False), _MEASURED)}
+    return artifact, cases, _SPECS, {"scenario_base": base.to_dict()}

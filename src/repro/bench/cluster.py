@@ -15,9 +15,9 @@ writes ``BENCH_cluster.json``.  Four gates decide the exit code:
    ledger are clean, and SLO attainment stays at or above the config's
    stated ``brownout_floor``.
 4. **Golden unchanged** — the no-cluster paths are untouched: the
-   pinned serve scenario still reproduces ``trace-serve.txt``
-   bit-identically, and the pinned cluster scenario matches its own
-   golden digest when one exists.
+   pinned serve and cluster scenarios still reproduce their golden
+   digests and trace text (``trace-serve.txt``, ``trace-cluster.txt``)
+   bit-identically.
 
 Full mode additionally runs the headline **scale point** — millions of
 simulated requests through the 8-shard cluster — and records its SLO
@@ -28,14 +28,14 @@ counts for CI; all four gates still run.
 
 from __future__ import annotations
 
-import math
-import os
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.bench import stats as bstats
-from repro.bench.results_io import save_artifact
-from repro.cluster import (ClusterScenario, cluster_stats_dict,
-                           run_cluster_scenario)
+from repro.bench.serve import hedge_verdict, scenario_point, stats_case
+from repro.cluster import ClusterScenario, run_cluster_scenario
+from repro.oracle.golden import (GOLDEN_CLUSTER_SCENARIO,
+                                 GOLDEN_SERVE_SCENARIO, golden_mismatch)
+from repro.serve.scenario import run_serve_scenario
 
 #: Hedge A/B base: Zipf skew hot enough to saturate the hot shard, no
 #: faults — exactly the regime where hedged mirror reads pay.
@@ -61,76 +61,29 @@ SCALE_BASE = ClusterScenario(
 SMOKE_REQUESTS = 1200
 MEASURE_REQUESTS = 20_000
 
-_GOLDEN_DIR = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__))))),
-    "tests", "golden")
+#: Measured-phase metrics: {metric: ClusterStats attribute} and specs.
+_MEASURED = {"p99_s": "latency_p99", "attainment": "slo_attainment",
+             "goodput": "goodput", "completed": "completed",
+             "failed": "failed"}
+_SPECS = {"p99_s": bstats.SIM_S, "attainment": bstats.SIM_RATE,
+          "goodput": bstats.SIM_RATE, "completed": bstats.COUNT_INFO,
+          "failed": bstats.COUNT_BAD}
 
 
 def _cluster_point(scenario: ClusterScenario) -> Dict:
-    """One cluster run -> JSON summary with the per-run verdicts."""
-    run = run_cluster_scenario(scenario)
-    point: Dict = {"name": scenario.name, "hedge": scenario.hedge,
-                   "status": run.status, "digest": run.digest,
-                   "findings": list(run.findings)}
-    if not run.ok:
-        point["error"] = run.error
-        point["lossless"] = False
-        return point
-    s = run.stats
-    accounting_ok = True
-    try:
-        s.check_accounting()
-    except ValueError as exc:
-        accounting_ok = False
-        point["error"] = str(exc)
-    point["stats"] = cluster_stats_dict(s)
-    point["lossless"] = bool(accounting_ok and s.failed == 0
-                             and not run.findings)
+    """One cluster run -> its point with the lossless verdict."""
+    point = scenario_point(run_cluster_scenario(scenario),
+                           name=scenario.name, hedge=scenario.hedge)
+    point["lossless"] = bool(point["accounting_ok"]
+                             and point["stats"]["failed"] == 0
+                             and not point["findings"])
     return point
 
 
-def _measured_phase(base: ClusterScenario,
-                    plan: bstats.RunPlan) -> Dict[str, Dict]:
-    """Repeated hedged vs unhedged runs, interleaved in the seeded
-    executor order.  The simulated tail latencies and attainment are
-    deterministic per seed; wall time is the real measurement."""
-
-    def case(scenario: ClusterScenario):
-        def measure(_rep: int) -> Dict[str, float]:
-            point, dt = bstats.timed_call(lambda: _cluster_point(scenario))
-            out = {"wall_s": dt}
-            s = point.get("stats")
-            if s is not None:
-                out.update(p99_s=s["latency_p99"],
-                           attainment=s["slo_attainment"],
-                           goodput=s["goodput"],
-                           completed=float(s["completed"]),
-                           failed=float(s["failed"]))
-            return out
-        return measure
-
-    samples = bstats.interleaved_measure(
-        {"hedged": case(base), "unhedged": case(base.with_(hedge=False))},
-        plan)
-    return bstats.summarize_metrics(
-        samples,
-        {"wall_s": bstats.WALL_S, "p99_s": bstats.SIM_S,
-         "attainment": bstats.SIM_RATE, "goodput": bstats.SIM_RATE,
-         "completed": bstats.COUNT_INFO, "failed": bstats.COUNT_BAD},
-        ci_seed=plan.seed)
-
-
-def run_cluster_bench(output: Optional[str] = "BENCH_cluster.json",
-                      smoke: bool = False,
-                      verbose: bool = True,
-                      runs: Optional[int] = None) -> Dict:
-    """Run the cluster gates and write the artifact.
-
-    *runs* (or ``REPRO_BENCH_RUNS``) sets the measured-phase
-    repetitions recorded in the ``stats`` block; the gates run once.
-    """
-    run_plan = bstats.RunPlan.from_env(runs=runs)
+def run(smoke: bool = False, verbose: bool = True):
+    """Run the cluster gates; see module docs.  Returns the gate
+    artifact, the measured-phase cases (hedged vs unhedged runs of the
+    Zipf config), their specs and the stats config."""
     hedge_base = HEDGE_BASE
     chaos_base = CHAOS_BASE
     measure_base = HEDGE_BASE.with_(num_requests=MEASURE_REQUESTS)
@@ -151,13 +104,7 @@ def run_cluster_bench(output: Optional[str] = "BENCH_cluster.json",
     # Gate 2: hedged p99 strictly beats unhedged on the Zipf config.
     hedged = _cluster_point(hedge_base)
     unhedged = _cluster_point(hedge_base.with_(hedge=False))
-    hedged_p99 = (hedged.get("stats") or {}).get(
-        "latency_p99", float("nan"))
-    unhedged_p99 = (unhedged.get("stats") or {}).get(
-        "latency_p99", float("nan"))
-    hedge_wins = bool(not math.isnan(hedged_p99)
-                      and not math.isnan(unhedged_p99)
-                      and hedged_p99 < unhedged_p99)
+    hedged_p99, unhedged_p99, hedge_wins = hedge_verdict(hedged, unhedged)
 
     # Gate 3: brownout floor under shard_down with replication >= 2 —
     # lossless (failed == 0, accounting holds, ledger/sanitizer clean)
@@ -165,42 +112,16 @@ def run_cluster_bench(output: Optional[str] = "BENCH_cluster.json",
     floor = chaos_base.brownout_floor
     attainment = (chaos.get("stats") or {}).get(
         "slo_attainment", float("nan"))
-    brownout_ok = bool(chaos["lossless"]
-                       and not math.isnan(attainment)
-                       and attainment >= floor)
+    brownout_ok = bool(chaos["lossless"] and attainment >= floor)
 
-    # Gate 4: no-cluster paths untouched — the pinned serve scenario
-    # still reproduces its golden trace, and the pinned cluster
-    # scenario matches its own pinned digest when one exists.
-    from repro.oracle.golden import (GOLDEN_CLUSTER_SCENARIO,
-                                     GOLDEN_SERVE_SCENARIO,
-                                     golden_digests, trace_lines)
-    from repro.serve.scenario import run_serve_scenario
-    golden_ok, golden_detail = True, {}
-    serve_trace = os.path.join(_GOLDEN_DIR, "trace-serve.txt")
-    try:
-        with open(serve_trace) as fh:
-            golden_lines = fh.read().splitlines()
-    except OSError as exc:
-        golden_ok, golden_lines = False, []
-        golden_detail["error"] = f"missing golden trace: {exc}"
-    serve_run = run_serve_scenario(GOLDEN_SERVE_SCENARIO)
-    serve_match = bool(serve_run.ok and golden_lines
-                       and trace_lines(serve_run.trace or []) == golden_lines)
-    golden_detail["serve"] = {"status": serve_run.status,
-                              "digest": serve_run.digest,
-                              "match": serve_match}
-    golden_ok = golden_ok and serve_match
-    pinned = golden_digests(_GOLDEN_DIR).get("cluster")
-    if pinned is not None:
-        cluster_run = run_cluster_scenario(GOLDEN_CLUSTER_SCENARIO)
-        cluster_match = bool(cluster_run.ok
-                             and cluster_run.digest == pinned)
-        golden_detail["cluster"] = {"status": cluster_run.status,
-                                    "digest": cluster_run.digest,
-                                    "pinned": pinned,
-                                    "match": cluster_match}
-        golden_ok = golden_ok and cluster_match
+    # Gate 4: no-cluster paths untouched — the pinned serve and cluster
+    # scenarios still match their golden digests and trace text.
+    # None = matches the pin.
+    golden = {"serve": golden_mismatch(
+                  "serve", run_serve_scenario(GOLDEN_SERVE_SCENARIO)),
+              "cluster": golden_mismatch(
+                  "cluster", run_cluster_scenario(GOLDEN_CLUSTER_SCENARIO))}
+    golden_ok = all(m is None for m in golden.values())
 
     # Headline scale point (full mode only; informational).
     scale_point = None
@@ -210,7 +131,6 @@ def run_cluster_bench(output: Optional[str] = "BENCH_cluster.json",
     ok = bool(deterministic and hedge_wins and brownout_ok and golden_ok)
     artifact = {
         "ok": ok,
-        "mode": "smoke" if smoke else "full",
         "hedge_base": hedge_base.to_dict(),
         "chaos_base": chaos_base.to_dict(),
         "chaos": chaos,
@@ -227,12 +147,7 @@ def run_cluster_bench(output: Optional[str] = "BENCH_cluster.json",
             "brownout_attainment": attainment,
             "golden_unchanged": golden_ok,
         },
-        "golden": golden_detail,
-        "stats": bstats.build_stats_block(
-            _measured_phase(measure_base, run_plan), run_plan,
-            config={"bench": "cluster",
-                    "mode": "smoke" if smoke else "full",
-                    "measure_base": measure_base.to_dict()}),
+        "golden": golden,
     }
     if verbose:
         for label, p in (("chaos", chaos), ("hedged", hedged),
@@ -261,8 +176,10 @@ def run_cluster_bench(output: Optional[str] = "BENCH_cluster.json",
               f"brownout={'ok' if brownout_ok else 'FAIL'} "
               f"(attain {attainment:.3f} >= floor {floor:g}) "
               f"golden={'ok' if golden_ok else 'FAIL'}")
-    if output:
-        save_artifact(artifact, output)
-        if verbose:
-            print(f"wrote {output}")
-    return artifact
+    cases = {"hedged": stats_case(run_cluster_scenario, measure_base,
+                                  _MEASURED),
+             "unhedged": stats_case(run_cluster_scenario,
+                                    measure_base.with_(hedge=False),
+                                    _MEASURED)}
+    return (artifact, cases, _SPECS,
+            {"measure_base": measure_base.to_dict()})

@@ -25,7 +25,6 @@ from dataclasses import asdict
 from typing import Dict, List, Optional, Sequence
 
 from repro.bench import stats as bstats
-from repro.bench.results_io import save_artifact
 from repro.bench.runner import get_dataset, run_system
 from repro.core.base import TrainConfig
 from repro.core.stats import mean_epoch_time
@@ -85,58 +84,17 @@ def check_system(system: str, dataset=None, epochs: int = 2,
     return report
 
 
-def _measured_phase(systems: Sequence[str], dataset, epochs: int,
-                    plan: bstats.RunPlan) -> Dict[str, Dict]:
-    """Repeated sanitized runs per system, interleaved in the seeded
-    executor order; wall time varies run to run, the simulated epoch
-    time and sanitizer step count must not."""
-
-    def case(system: str):
-        def measure(_rep: int) -> Dict[str, float]:
-            res, dt = bstats.timed_call(lambda: run_system(
-                system, dataset, train_cfg=TrainConfig(), host_gb=32,
-                epochs=epochs, warmup_epochs=0, sanitize=True,
-                sanitize_trace=True, keep_machine=True))
-            out = {"wall_s": dt}
-            if res.ok:
-                out["epoch_time_s"] = mean_epoch_time(res.stats,
-                                                      skip_first=False)
-                san = res.machine.sanitizer
-                if san is not None:
-                    out["steps"] = float(san.steps)
-            return out
-        return measure
-
-    samples = bstats.interleaved_measure(
-        {system: case(system) for system in systems}, plan)
-    return bstats.summarize_metrics(
-        samples, {"wall_s": bstats.WALL_S, "epoch_time_s": bstats.SIM_S,
-                  "steps": bstats.COUNT_INFO}, ci_seed=plan.seed)
-
-
-def run_determinism(systems: Sequence[str] = DEFAULT_SYSTEMS,
-                    epochs: int = 2,
-                    output: Optional[str] = "BENCH_determinism.json",
-                    verbose: bool = True,
-                    runs: Optional[int] = None) -> Dict:
-    """Replay *systems* and write the JSON artifact; see module docs.
-
-    *runs* (or ``REPRO_BENCH_RUNS``) sets the measured-phase
-    repetitions recorded in the ``stats`` block.
-    """
-    plan = bstats.RunPlan.from_env(runs=runs)
+def run(systems: Optional[Sequence[str]] = None, epochs: int = 2,
+        verbose: bool = True):
+    """Replay *systems* (default :data:`DEFAULT_SYSTEMS`); see module
+    docs.  Returns the gate artifact, the measured-phase cases (one
+    sanitized run per system: wall time varies run to run, the
+    simulated epoch time and sanitizer step count must not), their
+    specs and the stats config."""
+    systems = tuple(systems or DEFAULT_SYSTEMS)
     dataset = get_dataset("tiny")
     reports = [check_system(s, dataset, epochs=epochs) for s in systems]
     ok = all(r["deterministic"] and r["clean"] for r in reports)
-    metrics = _measured_phase(systems, dataset, epochs, plan)
-    artifact = {
-        "deterministic": ok,
-        "systems": reports,
-        "stats": bstats.build_stats_block(
-            metrics, plan,
-            config={"bench": "determinism", "systems": list(systems),
-                    "epochs": epochs}),
-    }
     if verbose:
         for r in reports:
             mark = ("ok" if r["deterministic"] and r["clean"]
@@ -153,8 +111,23 @@ def run_determinism(systems: Sequence[str] = DEFAULT_SYSTEMS,
             for i, findings in enumerate(r.get("findings", [])):
                 for f in findings:
                     print(f"  run {i}: {f}")
-    if output:
-        save_artifact(artifact, output)
-        if verbose:
-            print(f"wrote {output}")
-    return artifact
+
+    def case(system: str):
+        def measure(_rep: int) -> Dict[str, float]:
+            res = run_system(system, dataset, train_cfg=TrainConfig(),
+                             host_gb=32, epochs=epochs, warmup_epochs=0,
+                             sanitize=True, sanitize_trace=True,
+                             keep_machine=True)
+            if not res.ok:
+                return {}
+            out = {"epoch_time_s": mean_epoch_time(res.stats,
+                                                   skip_first=False)}
+            if res.machine.sanitizer is not None:
+                out["steps"] = float(res.machine.sanitizer.steps)
+            return out
+        return measure
+
+    return ({"ok": ok, "systems": reports},
+            {system: case(system) for system in systems},
+            {"epoch_time_s": bstats.SIM_S, "steps": bstats.COUNT_INFO},
+            {"systems": list(systems), "epochs": epochs})

@@ -24,11 +24,10 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from repro.bench import stats as bstats
-from repro.bench.results_io import save_artifact
 from repro.bench.runner import SYSTEM_NAMES, get_dataset, run_system
 from repro.core.base import TrainConfig
 from repro.core.stats import mean_epoch_time
-from repro.faults import FaultPlan, default_chaos_plan
+from repro.faults import FaultPlan, default_chaos_plan, load_plan
 
 
 def check_system_under_faults(system: str, plan: FaultPlan, dataset=None,
@@ -62,67 +61,22 @@ def check_system_under_faults(system: str, plan: FaultPlan, dataset=None,
     return report
 
 
-def _measured_phase(systems: Sequence[str], plan: FaultPlan, dataset,
-                    epochs: int,
-                    run_plan: bstats.RunPlan) -> Dict[str, Dict]:
-    """Repeated chaos runs per system in the seeded interleaved order.
-    Ledger counters and simulated epoch time are deterministic (same
-    plan + seed), so any spread there is itself a red flag the compare
-    gate will catch; wall time carries the real error bars."""
-
-    def case(system: str):
-        def measure(_rep: int) -> Dict[str, float]:
-            res, dt = bstats.timed_call(lambda: run_system(
-                system, dataset, train_cfg=TrainConfig(), host_gb=32,
-                epochs=epochs, warmup_epochs=0, sanitize=True,
-                keep_machine=True, fault_plan=plan))
-            out = {"wall_s": dt}
-            if res.ok:
-                ledger = res.machine.fault_counters()
-                out["epoch_time_s"] = mean_epoch_time(res.stats,
-                                                      skip_first=False)
-                for key in ("injected", "retried", "recovered",
-                            "dropped"):
-                    out[key] = float(ledger.get(key, 0))
-            return out
-        return measure
-
-    samples = bstats.interleaved_measure(
-        {system: case(system) for system in systems}, run_plan)
-    return bstats.summarize_metrics(
-        samples,
-        {"wall_s": bstats.WALL_S, "epoch_time_s": bstats.SIM_S,
-         "injected": bstats.COUNT_INFO, "retried": bstats.COUNT_INFO,
-         "recovered": bstats.COUNT_INFO, "dropped": bstats.COUNT_BAD},
-        ci_seed=run_plan.seed)
-
-
-def run_faults(systems: Sequence[str] = SYSTEM_NAMES,
-               plan: Optional[FaultPlan] = None,
-               epochs: int = 2,
-               output: Optional[str] = "BENCH_faults.json",
-               verbose: bool = True,
-               runs: Optional[int] = None) -> Dict:
-    """Chaos-run *systems* and write the JSON artifact; see module docs.
-
-    *runs* (or ``REPRO_BENCH_RUNS``) sets the measured-phase
-    repetitions recorded in the ``stats`` block.
-    """
-    if plan is None:
-        plan = default_chaos_plan()
-    run_plan = bstats.RunPlan.from_env(runs=runs)
+def run(systems: Optional[Sequence[str]] = None,
+        plan: Optional[str] = None, epochs: int = 2,
+        verbose: bool = True):
+    """Chaos-run *systems* (default: all five) under the fault plan in
+    JSON file *plan* (default: the built-in chaos plan); see module
+    docs.  Returns the gate artifact, the measured-phase cases (one
+    chaos run per system: ledger counters and simulated epoch time are
+    deterministic, so any spread there is itself a red flag the compare
+    gate catches), their specs and the stats config."""
+    systems = tuple(systems or SYSTEM_NAMES)
+    fault_plan = load_plan(plan) if plan else default_chaos_plan()
     dataset = get_dataset("tiny")
-    reports = [check_system_under_faults(s, plan, dataset, epochs=epochs)
+    reports = [check_system_under_faults(s, fault_plan, dataset,
+                                         epochs=epochs)
                for s in systems]
     ok = all(r["survived"] for r in reports)
-    metrics = _measured_phase(systems, plan, dataset, epochs, run_plan)
-    artifact = {"completed": ok, "plan": plan.to_dict(),
-                "systems": reports,
-                "stats": bstats.build_stats_block(
-                    metrics, run_plan,
-                    config={"bench": "faults", "systems": list(systems),
-                            "epochs": epochs,
-                            "plan": plan.to_dict()})}
     if verbose:
         for r in reports:
             mark = "ok" if r["survived"] else "FAIL"
@@ -138,8 +92,27 @@ def run_faults(systems: Sequence[str] = SYSTEM_NAMES,
                 print(f"  error: {r['error']}")
             for f in r.get("findings", []):
                 print(f"  finding: {f}")
-    if output:
-        save_artifact(artifact, output)
-        if verbose:
-            print(f"wrote {output}")
-    return artifact
+
+    def case(system: str):
+        def measure(_rep: int) -> Dict[str, float]:
+            res = run_system(system, dataset, train_cfg=TrainConfig(),
+                             host_gb=32, epochs=epochs, warmup_epochs=0,
+                             sanitize=True, keep_machine=True,
+                             fault_plan=fault_plan)
+            if not res.ok:
+                return {}
+            ledger = res.machine.fault_counters()
+            out = {"epoch_time_s": mean_epoch_time(res.stats,
+                                                   skip_first=False)}
+            for key in ("injected", "retried", "recovered", "dropped"):
+                out[key] = float(ledger.get(key, 0))
+            return out
+        return measure
+
+    return ({"ok": ok, "plan": fault_plan.to_dict(), "systems": reports},
+            {system: case(system) for system in systems},
+            {"epoch_time_s": bstats.SIM_S, "injected": bstats.COUNT_INFO,
+             "retried": bstats.COUNT_INFO, "recovered": bstats.COUNT_INFO,
+             "dropped": bstats.COUNT_BAD},
+            {"systems": list(systems), "epochs": epochs,
+             "plan": fault_plan.to_dict()})

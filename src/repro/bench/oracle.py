@@ -22,13 +22,12 @@ this is the CI tripwire for silent simulator-behaviour drift.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.bench import stats as bstats
-from repro.bench.results_io import save_artifact
-from repro.oracle import (DEFAULT_MATRIX, GOLDEN_SCENARIO, check_golden,
-                          check_scenario, golden_digests, regen_golden,
-                          sample_scenarios)
+from repro.oracle import (DEFAULT_MATRIX, GOLDEN_DIR, GOLDEN_SCENARIO,
+                          check_golden, check_scenario, golden_digests,
+                          regen_golden, sample_scenarios)
 from repro.oracle.scenario import Scenario
 
 
@@ -51,18 +50,18 @@ def _check_many(scenarios: Sequence[Scenario], verbose: bool,
             "ok": all(r["ok"] for r in reports)}
 
 
-def _check_golden_layer(verbose: bool, golden_dir: Optional[str]) -> Dict:
+def _check_golden_layer(verbose: bool, golden_dir: str) -> Dict:
     """Golden-digest layer: compare against the committed pin."""
-    kw = {} if golden_dir is None else {"golden_dir": golden_dir}
     layer: Dict = {"scenario": GOLDEN_SCENARIO.to_dict()}
-    if not golden_digests(**kw):
+    if not golden_digests(golden_dir):
         layer.update(ok=False, mismatches=[],
                      error="no golden digests committed; run "
-                           "`repro oracle --regen` and commit tests/golden/")
+                           "`python -m repro.bench oracle --regen` and "
+                           "commit tests/golden/")
         if verbose:
             print(f"golden: MISSING ({layer['error']})")
         return layer
-    mismatches = check_golden(**kw)
+    mismatches = check_golden(golden_dir)
     layer.update(ok=not mismatches, mismatches=mismatches)
     if verbose:
         if mismatches:
@@ -73,59 +72,33 @@ def _check_golden_layer(verbose: bool, golden_dir: Optional[str]) -> Dict:
     return layer
 
 
-def _measured_phase(matrix: Sequence[Scenario], plan: bstats.RunPlan,
-                    golden: bool,
-                    golden_kw: Dict) -> Dict[str, Dict]:
-    """Repeated re-checks of the first matrix scenario (fresh runner
-    each pass, so nothing is memoised away) plus the golden-digest
-    check.  Violations and oracle counts are deterministic; wall time
+def _regen(verbose: bool) -> Dict:
+    """``--regen``: rewrite ``tests/golden/`` from the pinned scenario."""
+    digests = regen_golden()
+    if verbose:
+        for system, digest in sorted(digests.items()):
+            print(f"pinned {system:<14} {digest}")
+        print("golden files rewritten under tests/golden/ — "
+              "review the diff and commit them with the change")
+    return {"ok": True, "digests": digests}
+
+
+def run(matrix: Sequence[Scenario] = DEFAULT_MATRIX, fuzz: int = 50,
+        fuzz_seed: int = 0, golden: bool = True,
+        golden_dir: str = GOLDEN_DIR, regen: bool = False,
+        verbose: bool = True):
+    """Run the three oracle layers once; see module docs.  Returns the
+    gate artifact, the measured-phase cases, their specs and the stats
+    config; ``regen`` returns no cases.
+
+    The measured phase re-checks the first matrix scenario (a fresh
+    runner each pass, so nothing is memoised away) and the golden
+    digests.  Violations and oracle counts are deterministic; wall time
     carries the error bars.  Layers that did not run (empty matrix,
-    ``--no-golden``, missing pins) contribute no cases."""
-    cases = {}
-
-    if matrix:
-        scenario = matrix[0]
-
-        def measure_scenario(_rep: int) -> Dict[str, float]:
-            report, dt = bstats.timed_call(
-                lambda: check_scenario(scenario))
-            return {"wall_s": dt,
-                    "violations": float(len(report["violations"])),
-                    "oracles_checked": float(len(report["checked"]))}
-
-        cases[f"matrix:{scenario.name}"] = measure_scenario
-
-    if golden and golden_digests(**golden_kw):
-        def measure_golden(_rep: int) -> Dict[str, float]:
-            mismatches, dt = bstats.timed_call(
-                lambda: check_golden(**golden_kw))
-            return {"wall_s": dt, "mismatches": float(len(mismatches))}
-
-        cases["golden"] = measure_golden
-
-    samples = bstats.interleaved_measure(cases, plan)
-    return bstats.summarize_metrics(
-        samples,
-        {"wall_s": bstats.WALL_S, "violations": bstats.COUNT_BAD,
-         "mismatches": bstats.COUNT_BAD,
-         "oracles_checked": bstats.COUNT_INFO},
-        ci_seed=plan.seed)
-
-
-def run_oracle(matrix: Sequence[Scenario] = DEFAULT_MATRIX,
-               fuzz: int = 50, fuzz_seed: int = 0,
-               golden: bool = True,
-               golden_dir: Optional[str] = None,
-               output: Optional[str] = "BENCH_oracle.json",
-               verbose: bool = True,
-               runs: Optional[int] = None) -> Dict:
-    """Run the three oracle layers and write the JSON artifact.
-
-    *runs* (or ``REPRO_BENCH_RUNS``) sets the measured-phase
-    repetitions; the gate layers (full matrix, golden, fuzz) always run
-    exactly once.
+    ``golden=False``, missing pins) contribute no cases.
     """
-    plan = bstats.RunPlan.from_env(runs=runs)
+    if regen:
+        return _regen(verbose), None, None, None
     artifact: Dict = {"fuzz_seed": fuzz_seed}
     artifact["matrix"] = _check_many(matrix, verbose, "matrix")
     if golden:
@@ -136,27 +109,23 @@ def run_oracle(matrix: Sequence[Scenario] = DEFAULT_MATRIX,
     artifact["ok"] = all(layer.get("ok", True)
                          for layer in artifact.values()
                          if isinstance(layer, dict))
-    kw = {} if golden_dir is None else {"golden_dir": golden_dir}
-    metrics = _measured_phase(matrix, plan, golden, kw)
-    artifact["stats"] = bstats.build_stats_block(
-        metrics, plan,
-        config={"bench": "oracle", "fuzz": fuzz, "fuzz_seed": fuzz_seed,
-                "matrix": [sc.name for sc in matrix]})
-    if verbose:
-        print("oracle bench:", "ok" if artifact["ok"] else "VIOLATIONS")
-    if output:
-        save_artifact(artifact, output)
-        if verbose:
-            print(f"wrote {output}")
-    return artifact
 
+    cases = {}
+    if matrix:
+        scenario = matrix[0]
 
-def run_regen(verbose: bool = True) -> Dict:
-    """``--regen``: rewrite ``tests/golden/`` from the pinned scenario."""
-    digests = regen_golden()
-    if verbose:
-        for system, digest in sorted(digests.items()):
-            print(f"pinned {system:<14} {digest}")
-        print("golden files rewritten under tests/golden/ — "
-              "review the diff and commit them with the change")
-    return {"ok": True, "digests": digests}
+        def measure_scenario(_rep: int) -> Dict[str, float]:
+            report = check_scenario(scenario)
+            return {"violations": float(len(report["violations"])),
+                    "oracles_checked": float(len(report["checked"]))}
+
+        cases[f"matrix:{scenario.name}"] = measure_scenario
+    if golden and golden_digests(golden_dir):
+        cases["golden"] = lambda _rep: {
+            "mismatches": float(len(check_golden(golden_dir)))}
+    return (artifact, cases,
+            {"violations": bstats.COUNT_BAD,
+             "mismatches": bstats.COUNT_BAD,
+             "oracles_checked": bstats.COUNT_INFO},
+            {"fuzz": fuzz, "fuzz_seed": fuzz_seed,
+             "matrix": [sc.name for sc in matrix]})

@@ -16,21 +16,21 @@ writes ``BENCH_races.json``:
    Each system also re-runs with the detector *disarmed* and the two
    sanitizer trace digests must match bit-for-bit — the detector is an
    observer, never a participant.
-3. **Overhead** — wall-clock ratio of a representative run with the
-   detector on vs. off (runs / mean / stddev recorded, not gated:
-   per-method recording is expected to cost real time).
+3. **Overhead** — the measured phase times a representative run with
+   the detector on vs. off and records both wall times and their
+   run-for-run ratio in the ``stats`` block (not gated: per-method
+   recording is expected to cost real time).
 
-``--check`` is the CI smoke: first scenario only, stacks off for the
-overhead sample, single timing run.  Exit non-zero on any gate failure.
+``--smoke`` is the CI sizing: the first matrix scenario only.  Exit
+non-zero on any gate failure.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.bench import stats as bstats
-from repro.bench.results_io import save_artifact
 from repro.bench.runner import EXTRA_SYSTEMS, SYSTEM_NAMES, get_dataset, \
     run_system
 from repro.oracle.scenario import DEFAULT_MATRIX, Scenario, ScenarioRunner
@@ -127,105 +127,44 @@ def _serve_layer(verbose: bool) -> Dict:
     return {"runs": [entry], "ok": entry["ok"]}
 
 
-def _overhead_layer(scenario: Scenario, plan: bstats.RunPlan,
-                    verbose: bool) -> Dict:
-    """Wall-clock ratio of armed vs. disarmed runs (recorded, not
-    gated), timed through the repeated-run executor so the armed and
-    disarmed cases interleave in the seeded order instead of running
-    as two back-to-back blocks."""
+def derive(samples: Dict[str, List[float]]) -> Dict[str, List[float]]:
+    """The overhead metrics from the raw measured-phase samples: both
+    wall times, and armed/disarmed runs paired run-for-run into
+    per-run overhead ratios."""
+    base, armed = samples["baseline.wall_s"], samples["sanitized.wall_s"]
+    return {"baseline_wall_s": base, "sanitized_wall_s": armed,
+            "overhead_ratio": [a / b for a, b in zip(armed, base)]}
+
+
+def run(matrix: Sequence[Scenario] = DEFAULT_MATRIX, smoke: bool = False,
+        verbose: bool = True):
+    """Run the static, dynamic and serve layers once; see module docs.
+    Returns the gate artifact, the measured-phase cases (the first
+    scenario on gnndrive-gpu with the detector disarmed and armed),
+    their specs and the stats config; :func:`derive` turns the samples
+    into the overhead metrics."""
+    if smoke:
+        matrix = matrix[:1]
+    artifact: Dict = {"static": _static_layer(verbose),
+                      "dynamic": _dynamic_layer(matrix, verbose),
+                      "serve": _serve_layer(verbose)}
+    artifact["ok"] = all(layer["ok"] for layer in artifact.values())
+    scenario = matrix[0]
     dataset = get_dataset(scenario.dataset, scale=scenario.dataset_scale,
                           seed=scenario.seed)
 
     def case(races: bool):
         def measure(_rep: int) -> Dict[str, float]:
-            spec = scenario.machine_spec(races=races)
-            _, dt = bstats.timed_call(lambda: run_system(
-                "gnndrive-gpu", dataset, scenario.train_config(),
-                epochs=scenario.epochs, warmup_epochs=0,
-                machine_spec=spec))
-            return {"wall_s": dt}
+            run_system("gnndrive-gpu", dataset, scenario.train_config(),
+                       epochs=scenario.epochs, warmup_epochs=0,
+                       machine_spec=scenario.machine_spec(races=races))
+            return {}
         return measure
 
-    samples = bstats.interleaved_measure(
-        {"baseline": case(False), "sanitized": case(True)}, plan)
-    base = samples["baseline.wall_s"]
-    armed = samples["sanitized.wall_s"]
-
-    def _stats(xs):
-        summary = bstats.summarize(xs, bstats.WALL_S, ci_seed=plan.seed)
-        return {"runs": summary["n"], "mean_s": summary["mean"],
-                "stddev_s": summary["stddev"],
-                "ci_low_s": summary["ci_low"],
-                "ci_high_s": summary["ci_high"],
-                "samples_s": list(xs)}
-
-    layer = {
-        "scenario": scenario.name,
-        "system": "gnndrive-gpu",
-        "baseline": _stats(base),
-        "sanitized": _stats(armed),
-        "overhead_ratio": (sum(armed) / len(armed)) / (sum(base) / len(base)),
-    }
-    if verbose:
-        print(f"overhead {scenario.name} gnndrive-gpu: "
-              f"{layer['overhead_ratio']:.2f}x "
-              f"({layer['baseline']['mean_s']:.3f}s -> "
-              f"{layer['sanitized']['mean_s']:.3f}s, {len(base)} run(s))")
-    return layer
-
-
-def _overhead_metrics(samples_base, samples_armed,
-                      plan: bstats.RunPlan) -> Dict[str, Dict]:
-    """Summaries for the stats block, pairing armed/disarmed samples
-    run-for-run into per-run overhead ratios."""
-    ratios = [a / b for a, b in zip(samples_armed, samples_base)]
-    return bstats.summarize_metrics(
-        {"baseline_wall_s": list(samples_base),
-         "sanitized_wall_s": list(samples_armed),
-         "overhead_ratio": ratios},
-        {"baseline_wall_s": bstats.WALL_S,
-         "sanitized_wall_s": bstats.WALL_S,
-         "overhead_ratio": bstats.RATIO_DOWN},
-        ci_seed=plan.seed)
-
-
-def run_races(matrix: Sequence[Scenario] = DEFAULT_MATRIX,
-              check: bool = False,
-              overhead_runs: Optional[int] = None,
-              output: Optional[str] = "BENCH_races.json",
-              verbose: bool = True) -> Dict:
-    """Run the three layers and write the JSON artifact.
-
-    *overhead_runs* (or ``REPRO_BENCH_RUNS``; default 5) sets the
-    overhead-layer timing repetitions; ``--check`` drops to a single
-    run for CI.
-    """
-    if check:
-        matrix = matrix[:1]
-        overhead_runs, warmup = 1, 0
-    else:
-        warmup = None
-    plan = bstats.RunPlan.from_env(runs=overhead_runs, warmup=warmup)
-    artifact: Dict = {"check": check}
-    artifact["static"] = _static_layer(verbose)
-    artifact["dynamic"] = _dynamic_layer(matrix, verbose)
-    artifact["serve"] = _serve_layer(verbose)
-    overhead = _overhead_layer(matrix[0], plan, verbose)
-    artifact["overhead"] = overhead
-    metrics = _overhead_metrics(overhead["baseline"]["samples_s"],
-                                overhead["sanitized"]["samples_s"], plan)
-    artifact["stats"] = bstats.build_stats_block(
-        metrics, plan,
-        config={"bench": "races", "check": check,
-                "scenario": matrix[0].name,
-                "systems": list(ALL_SYSTEMS) + ["serve"]})
-    artifact["ok"] = (artifact["static"]["ok"]
-                      and artifact["dynamic"]["ok"]
-                      and artifact["serve"]["ok"])
-    if verbose:
-        print("races bench:", "ok" if artifact["ok"] else "VIOLATIONS")
-    if output:
-        save_artifact(artifact, output)
-        if verbose:
-            print(f"wrote {output}")
-    return artifact
+    return (artifact,
+            {"baseline": case(False), "sanitized": case(True)},
+            {"baseline_wall_s": bstats.WALL_S,
+             "sanitized_wall_s": bstats.WALL_S,
+             "overhead_ratio": bstats.RATIO_DOWN},
+            {"scenario": scenario.name,
+             "systems": list(ALL_SYSTEMS) + ["serve"]})

@@ -21,15 +21,20 @@ Three gates decide the exit code:
 
 ``--smoke`` runs a tiny two-point sweep (gates 1 and 2 only), sized for
 CI.
+
+:func:`scenario_point`, :func:`stats_dict`, :func:`hedge_verdict` and
+:func:`stats_case` are shared with the ``chaos_serve`` and ``cluster``
+benches: one run of a serve or cluster scenario as a JSON point, its
+stats as a dict, the hedged-vs-unhedged p99 verdict, and a
+measured-phase case reading stats fields.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Optional, Sequence
+import dataclasses
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.bench import stats as bstats
-from repro.bench.results_io import save_artifact
 from repro.serve.scenario import ServeScenario, run_serve_scenario
 
 #: Contended full-bench base: the feature working set overflows the
@@ -47,59 +52,74 @@ SMOKE_BASE = ServeScenario(
     num_requests=40, slo=0.05)
 SMOKE_RATES = (100.0, 300.0)
 
+#: Measured-phase metrics: {metric: ServeStats attribute} and specs.
+_MEASURED = {"p50_s": "latency_p50", "p99_s": "latency_p99",
+             "throughput": "throughput", "shed": "shed",
+             "timed_out": "timed_out"}
+_SPECS = {"p50_s": bstats.SIM_S, "p99_s": bstats.SIM_S,
+          "throughput": bstats.SIM_RATE, "shed": bstats.COUNT_BAD,
+          "timed_out": bstats.COUNT_BAD}
 
-def serve_stats_dict(stats) -> Dict:
-    """JSON-safe summary of one :class:`ServeStats`."""
-    return {
-        "backend": stats.backend,
-        "offered": stats.offered,
-        "completed": stats.completed,
-        "shed": stats.shed,
-        "timed_out": stats.timed_out,
-        "failed": stats.failed,
-        "slo": stats.slo,
-        "slo_miss": stats.slo_miss,
-        "slo_attainment": stats.slo_attainment,
-        "duration": stats.duration,
-        "offered_rate": stats.offered_rate,
-        "throughput": stats.throughput,
-        "goodput": stats.goodput,
-        "latency_p50": stats.latency_p50,
-        "latency_p95": stats.latency_p95,
-        "latency_p99": stats.latency_p99,
-        "latency_mean": stats.latency_mean,
-        "latency_max": stats.latency_max,
-        "num_batches": stats.num_batches,
-        "mean_batch_size": stats.mean_batch_size,
-        "bytes_read": stats.bytes_read,
-        "cache_hits": stats.cache_hits,
-        "cache_misses": stats.cache_misses,
-        "reused_nodes": stats.reused_nodes,
-        "loaded_nodes": stats.loaded_nodes,
-        "faults": dict(stats.faults),
-    }
+
+def stats_dict(stats) -> Dict:
+    """JSON-safe summary of a :class:`~repro.core.stats.ServeStats` or
+    :class:`~repro.cluster.stats.ClusterStats`: every field plus the
+    derived ``throughput``, ``goodput``, ``slo_attainment`` and (cluster
+    only) ``admitted``."""
+    out = dataclasses.asdict(stats)
+    for name in ("throughput", "goodput", "slo_attainment", "admitted"):
+        if hasattr(stats, name):
+            out[name] = getattr(stats, name)
+    return out
+
+
+def scenario_point(run, **labels) -> Dict:
+    """One serve or cluster run as a JSON point: *labels*, status,
+    digest, sanitizer findings, the stats, and ``accounting_ok`` (the
+    run completed and its stats pass ``check_accounting``; ``error``
+    says why not)."""
+    point: Dict = {**labels, "status": run.status, "digest": run.digest,
+                   "findings": list(run.findings), "accounting_ok": run.ok}
+    if not run.ok:
+        point["error"] = run.error
+        return point
+    try:
+        run.stats.check_accounting()
+    except ValueError as exc:
+        point.update(accounting_ok=False, error=str(exc))
+    point["stats"] = stats_dict(run.stats)
+    return point
+
+
+def hedge_verdict(hedged: Dict, unhedged: Dict) -> Tuple[float, float, bool]:
+    """The hedged and unhedged points' p99 (NaN for a failed run) and
+    whether hedging strictly won (never against a NaN)."""
+    hedged_p99, unhedged_p99 = (
+        (p.get("stats") or {}).get("latency_p99", float("nan"))
+        for p in (hedged, unhedged))
+    return hedged_p99, unhedged_p99, bool(hedged_p99 < unhedged_p99)
+
+
+def stats_case(run_scenario: Callable, scenario,
+               fields: Mapping[str, str]) -> Callable[[int], Dict]:
+    """A measured-phase case: run *scenario* and read each metric's
+    stats attribute (``{metric: attribute}``) off the completed run."""
+    def measure(_rep: int) -> Dict[str, float]:
+        run = run_scenario(scenario)
+        if not run.ok:
+            return {}
+        return {name: getattr(run.stats, attr)
+                for name, attr in fields.items()}
+    return measure
 
 
 def _sweep_point(base: ServeScenario, backend: str, rate: float) -> Dict:
-    scenario = base.with_(backend=backend, rate=rate)
-    run = run_serve_scenario(scenario)
-    point: Dict = {"backend": backend, "rate": rate, "status": run.status,
-                   "digest": run.digest, "findings": list(run.findings),
-                   "accounting_ok": run.status == "ok"}
-    if not run.ok:
-        point["error"] = run.error
-        point["meets_slo"] = False
-        return point
-    s = run.stats
-    try:
-        s.check_accounting()
-    except ValueError as exc:
-        point["accounting_ok"] = False
-        point["error"] = str(exc)
-    point["stats"] = serve_stats_dict(s)
-    point["meets_slo"] = bool(
-        not math.isnan(s.latency_p99) and s.latency_p99 <= s.slo
-        and s.shed == 0 and s.timed_out == 0)
+    point = scenario_point(
+        run_serve_scenario(base.with_(backend=backend, rate=rate)),
+        backend=backend, rate=rate)
+    s = point.get("stats")
+    point["meets_slo"] = bool(s and s["latency_p99"] <= s["slo"]
+                              and s["shed"] == 0 and s["timed_out"] == 0)
     return point
 
 
@@ -109,49 +129,11 @@ def saturation_rate(points: Sequence[Dict]) -> float:
     return max(met) if met else 0.0
 
 
-def _measured_phase(base: ServeScenario, rate: float,
-                    plan: bstats.RunPlan) -> Dict[str, Dict]:
-    """Repeated single-point runs per backend at the lowest sweep rate,
-    interleaved in the seeded executor order.  The simulated latency /
-    throughput figures are deterministic per scenario; wall time is the
-    real measurement."""
-
-    def case(backend: str):
-        def measure(_rep: int) -> Dict[str, float]:
-            point, dt = bstats.timed_call(
-                lambda: _sweep_point(base, backend, rate))
-            out = {"wall_s": dt}
-            s = point.get("stats")
-            if s is not None:
-                out.update(p50_s=s["latency_p50"], p99_s=s["latency_p99"],
-                           throughput=s["throughput"],
-                           shed=float(s["shed"]),
-                           timed_out=float(s["timed_out"]))
-            return out
-        return measure
-
-    samples = bstats.interleaved_measure(
-        {backend: case(backend) for backend in ("async", "sync")}, plan)
-    return bstats.summarize_metrics(
-        samples,
-        {"wall_s": bstats.WALL_S, "p50_s": bstats.SIM_S,
-         "p99_s": bstats.SIM_S, "throughput": bstats.SIM_RATE,
-         "shed": bstats.COUNT_BAD, "timed_out": bstats.COUNT_BAD},
-        ci_seed=plan.seed)
-
-
-def run_serve_bench(output: Optional[str] = "BENCH_serve.json",
-                    smoke: bool = False,
-                    rates: Optional[Sequence[float]] = None,
-                    verbose: bool = True,
-                    runs: Optional[int] = None) -> Dict:
-    """Run the sweep and write the artifact; see module docs.
-
-    *runs* (or ``REPRO_BENCH_RUNS``) sets the measured-phase
-    repetitions recorded in the ``stats`` block; the sweep itself runs
-    each point once.
-    """
-    plan = bstats.RunPlan.from_env(runs=runs)
+def run(smoke: bool = False, rates: Optional[Sequence[float]] = None,
+        verbose: bool = True):
+    """Run the sweep gates; see module docs.  Returns the gate artifact,
+    the measured-phase cases (both backends at the lowest rate), their
+    specs and the stats config."""
     base = SMOKE_BASE if smoke else FULL_BASE
     rates = tuple(rates) if rates else (SMOKE_RATES if smoke
                                         else FULL_RATES)
@@ -194,7 +176,6 @@ def run_serve_bench(output: Optional[str] = "BENCH_serve.json",
 
     artifact = {
         "ok": ok,
-        "mode": "smoke" if smoke else "full",
         "scenario_base": base.to_dict(),
         "rates": list(rates),
         "backends": backends,
@@ -203,11 +184,6 @@ def run_serve_bench(output: Optional[str] = "BENCH_serve.json",
         "accounting_ok": accounting_ok,
         "deterministic": deterministic,
         "sanitizer_clean": clean,
-        "stats": bstats.build_stats_block(
-            _measured_phase(base, rates[0], plan), plan,
-            config={"bench": "serve", "mode": "smoke" if smoke else "full",
-                    "rates": list(rates),
-                    "scenario_base": base.to_dict()}),
     }
     if verbose:
         print(f"saturation: async={async_sat:g}/s sync={sync_sat:g}/s "
@@ -216,8 +192,9 @@ def run_serve_bench(output: Optional[str] = "BENCH_serve.json",
         print(f"accounting={'ok' if accounting_ok else 'FAIL'} "
               f"determinism={'ok' if deterministic else 'FAIL'} "
               f"sanitizer={'clean' if clean else 'FINDINGS'}")
-    if output:
-        save_artifact(artifact, output)
-        if verbose:
-            print(f"wrote {output}")
-    return artifact
+    cases = {backend: stats_case(run_serve_scenario,
+                                 base.with_(backend=backend, rate=rates[0]),
+                                 _MEASURED)
+             for backend in ("async", "sync")}
+    return (artifact, cases, _SPECS,
+            {"rates": list(rates), "scenario_base": base.to_dict()})

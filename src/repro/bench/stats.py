@@ -324,8 +324,8 @@ def interleaved_measure(cases: Mapping[str, Callable[[int],
     being measured.
 
     Each case's callable receives its per-case run index; metric names
-    are prefixed ``<case>.<metric>``.  Warmup passes (one round of every
-    case, in shuffled order) are discarded.
+    are prefixed ``<case>.<metric>``.  The first ``plan.warmup`` rounds
+    (every case once per round, in shuffled order) are discarded.
     """
     if not cases:
         return {}
@@ -480,6 +480,17 @@ class MetricComparison:
         }
 
 
+def check_gate_params(threshold_pct: float, alpha: float) -> None:
+    """Raise ``ValueError`` on a threshold or alpha that would switch the
+    gate off (a non-finite or negative threshold, an alpha outside
+    (0, 1)); each message starts with the parameter's name."""
+    if not (math.isfinite(threshold_pct) and threshold_pct >= 0.0):
+        raise ValueError(f"threshold must be a finite percentage >= 0, "
+                         f"got {threshold_pct!r}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+
+
 def compare_metric(name: str, old: Mapping, new: Mapping,
                    threshold_pct: float = DEFAULT_THRESHOLD_PCT,
                    alpha: float = DEFAULT_ALPHA) -> MetricComparison:
@@ -492,6 +503,7 @@ def compare_metric(name: str, old: Mapping, new: Mapping,
     *alpha*, and the bootstrap CIs do not overlap.  Metrics with
     direction ``info`` are reported but never classified.
     """
+    check_gate_params(threshold_pct, alpha)
     direction = new.get("direction") or old.get("direction") or "info"
     kind = new.get("kind") or old.get("kind") or "simulated"
     unit = new.get("unit") or old.get("unit") or ""
@@ -562,7 +574,8 @@ class ComparisonReport:
 
     comparisons: List[MetricComparison]
     added: List[str]
-    removed: List[str]
+    #: OLD-only metric name -> its kind, in name order.
+    removed: Dict[str, str]
     warnings: List[str]
     threshold_pct: float
     alpha: float
@@ -578,6 +591,12 @@ class ComparisonReport:
                 continue
             out.append(c)
         return out
+
+    def removals(self, gate_kinds: Optional[Sequence[str]] = None
+                 ) -> List[str]:
+        """OLD metrics that NEW lacks, restricted to *gate_kinds*."""
+        return [name for name, kind in self.removed.items()
+                if gate_kinds is None or kind in gate_kinds]
 
     def improvements(self) -> List[MetricComparison]:
         return [c for c in self.comparisons
@@ -598,6 +617,7 @@ def compare_artifacts(old_doc: Mapping, new_doc: Mapping,
                       threshold_pct: float = DEFAULT_THRESHOLD_PCT,
                       alpha: float = DEFAULT_ALPHA) -> ComparisonReport:
     """Compare every shared metric of two artifacts."""
+    check_gate_params(threshold_pct, alpha)
     old_metrics, old_warn = extract_metrics(old_doc)
     new_metrics, new_warn = extract_metrics(new_doc)
     warnings = [f"OLD: {w}" for w in old_warn] \
@@ -618,7 +638,8 @@ def compare_artifacts(old_doc: Mapping, new_doc: Mapping,
     return ComparisonReport(
         comparisons=comparisons,
         added=sorted(set(new_metrics) - set(old_metrics)),
-        removed=sorted(set(old_metrics) - set(new_metrics)),
+        removed={name: old_metrics[name].get("kind") or "simulated"
+                 for name in sorted(set(old_metrics) - set(new_metrics))},
         warnings=warnings,
         threshold_pct=threshold_pct,
         alpha=alpha,

@@ -9,13 +9,8 @@ Commands
 ``compare``
     Run several systems on the same workload and print the comparison.
 ``experiment``
-    Regenerate one paper artifact (fig2..fig14, tab1, tab2, figB1).
-``fio``
-    The Appendix-B storage microbenchmark.
-``oracle``
-    The correctness-oracle harness: scenario matrix, pinned golden
-    traces (``--regen`` to re-pin), optional scenario fuzz.  Exits
-    non-zero on any violation.
+    Regenerate one paper artifact (fig2..fig14, tab1, tab2; figB1 is
+    the Appendix-B storage microbenchmark).
 ``serve``
     Online inference serving on the simulated disk stack: run one
     serving scenario and print latency/goodput stats.
@@ -180,24 +175,6 @@ def cmd_experiment(args) -> int:
         save_result(result, args.output)
         print(f"\nartifact written to {args.output}")
     return 0
-
-
-def cmd_fio(args) -> int:
-    from repro.bench.experiments import run_figB1
-
-    result = run_figB1()
-    print(result.render())
-    return 0
-
-
-def cmd_oracle(args) -> int:
-    from repro.bench.oracle import run_oracle, run_regen
-
-    if args.regen:
-        return 0 if run_regen()["ok"] else 1
-    artifact = run_oracle(fuzz=args.fuzz, fuzz_seed=args.fuzz_seed,
-                          output=args.output)
-    return 0 if artifact["ok"] else 1
 
 
 def cmd_serve(args) -> int:
@@ -402,30 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None,
                    help="write the result as a JSON artifact")
     p.set_defaults(fn=cmd_experiment)
-
-    p = sub.add_parser(
-        "fio", help="Appendix-B storage microbenchmark",
-        description="Run the Appendix-B storage microbenchmark "
-                    "(sync/libaio/io_uring at several I/O depths).")
-    p.set_defaults(fn=cmd_fio)
-
-    p = sub.add_parser(
-        "oracle",
-        help="correctness oracles: scenario matrix, golden traces, fuzz",
-        description="Run the correctness-oracle harness: the scenario "
-                    "matrix, the pinned golden traces (--regen to "
-                    "re-pin), and an optional scenario fuzz.  Exits "
-                    "non-zero on any violation.")
-    p.add_argument("--regen", action="store_true",
-                   help="rewrite tests/golden/ from the pinned scenario "
-                        "instead of checking")
-    p.add_argument("--fuzz", type=int, default=0,
-                   help="additionally fuzz N sampled scenarios "
-                        "(default: matrix + golden only)")
-    p.add_argument("--fuzz-seed", type=int, default=0)
-    p.add_argument("--output", default=None,
-                   help="also write the JSON artifact here")
-    p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser(
         "serve", help="online GNN inference serving on the disk stack",

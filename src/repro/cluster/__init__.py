@@ -18,7 +18,7 @@ from repro.cluster.ring import HashRing, remap_fraction
 from repro.cluster.scenario import (ClusterRun, ClusterScenario,
                                     run_cluster_scenario)
 from repro.cluster.sim import ClusterSim
-from repro.cluster.stats import ClusterStats, cluster_stats_dict
+from repro.cluster.stats import ClusterStats
 
 __all__ = [
     "ClusterConfig",
@@ -27,7 +27,6 @@ __all__ = [
     "ClusterSim",
     "ClusterStats",
     "HashRing",
-    "cluster_stats_dict",
     "remap_fraction",
     "run_cluster_scenario",
 ]

@@ -114,38 +114,3 @@ class ClusterStats:
                 f"{sum(self.per_shard_parts)} != parts_served "
                 f"{self.parts_served}")
 
-
-def cluster_stats_dict(stats: ClusterStats) -> Dict:
-    """JSON-safe summary of one :class:`ClusterStats`."""
-    return {
-        "num_shards": stats.num_shards,
-        "offered": stats.offered,
-        "admitted": stats.admitted,
-        "completed": stats.completed,
-        "shed": stats.shed,
-        "timed_out": stats.timed_out,
-        "failed": stats.failed,
-        "slo": stats.slo,
-        "slo_miss": stats.slo_miss,
-        "slo_attainment": stats.slo_attainment,
-        "duration": stats.duration,
-        "offered_rate": stats.offered_rate,
-        "throughput": stats.throughput,
-        "goodput": stats.goodput,
-        "latency_p50": stats.latency_p50,
-        "latency_p95": stats.latency_p95,
-        "latency_p99": stats.latency_p99,
-        "latency_mean": stats.latency_mean,
-        "latency_max": stats.latency_max,
-        "reads_total": stats.reads_total,
-        "reads_done": stats.reads_done,
-        "parts_served": stats.parts_served,
-        "num_batches": stats.num_batches,
-        "mean_batch_size": stats.mean_batch_size,
-        "mirrors": stats.mirrors,
-        "mirror_wins": stats.mirror_wins,
-        "redirects": stats.redirects,
-        "per_shard_parts": list(stats.per_shard_parts),
-        "per_shard_busy": list(stats.per_shard_busy),
-        "faults": dict(stats.faults),
-    }

@@ -7,10 +7,14 @@ re-runs the pinned scenario and diffs; on mismatch the report names the
 first divergent event — the sanitizer's trace tuples make that a
 readable "who fired when" line rather than a bare hash inequality.
 
+:func:`golden_mismatch` is the one comparison of a run against its pin
+(digest and trace text); :func:`check_golden` applies it to every
+pinned system, and the ``chaos_serve`` and ``cluster`` benches apply it
+to the serve and cluster runs their golden gates replay.
+
 Regen workflow: after an *intended* behaviour change, run
-``repro oracle --regen`` (or ``python -m repro.bench oracle --regen``),
-eyeball the diff of ``tests/golden/`` in the commit, and land both
-together.
+``python -m repro.bench oracle --regen``, eyeball the diff of
+``tests/golden/`` in the commit, and land both together.
 """
 
 from __future__ import annotations
@@ -122,14 +126,15 @@ def first_divergence_vs_golden(system: str, trace: List[Tuple],
                                ) -> Optional[Dict[str, object]]:
     """First event where *trace* departs from the pinned trace.
 
-    Returns None when identical (or no golden trace exists); otherwise
-    ``{"step": i, "golden": line_or_None, "current": line_or_None}``.
+    Returns None when identical; otherwise ``{"step": i, "golden":
+    line_or_None, "current": line_or_None}``.  A missing golden trace
+    file reads as an empty trace.
     """
     path = os.path.join(golden_dir, _trace_name(system))
-    if not os.path.exists(path):
-        return None
-    with open(path) as f:
-        golden_lines = f.read().splitlines()
+    golden_lines: List[str] = []
+    if os.path.exists(path):
+        with open(path) as f:
+            golden_lines = f.read().splitlines()
     current_lines = trace_lines(trace)
     for i, (g, c) in enumerate(zip(golden_lines, current_lines)):
         if g != c:
@@ -142,45 +147,54 @@ def first_divergence_vs_golden(system: str, trace: List[Tuple],
     return None
 
 
-def check_golden(golden_dir: str = GOLDEN_DIR) -> List[Dict[str, object]]:
-    """Re-run the pinned scenario and diff against the golden files.
+def golden_mismatch(system: str, run,
+                    golden_dir: str = GOLDEN_DIR
+                    ) -> Optional[Dict[str, object]]:
+    """Diff one run of pinned *system* against its golden digest and
+    trace text; None when both match.
 
-    Returns one mismatch record per diverging system: the pinned and
-    current digests plus the first divergent event (when the golden
-    trace file is present).  A system whose digest matches but whose
-    committed trace text differs is reported too, so the text always
-    locates the real first divergence.  Empty list = everything matches.
+    Otherwise a mismatch record: the pinned and current digests plus
+    the first divergent event.  A digest that matches while the
+    committed trace text differs is a mismatch too, so the text always
+    locates the real first divergence.
     """
-    pinned = golden_digests(golden_dir)
-    if not pinned:
+    want = golden_digests(golden_dir).get(system)
+    if want is None:
+        return {"system": system, "golden_digest": None,
+                "current_digest": run.digest, "divergence": None,
+                "detail": "system not pinned; regen"}
+    if not run.ok:
+        return {"system": system, "golden_digest": want,
+                "current_digest": None, "divergence": None,
+                "detail": f"run failed: {run.error}"}
+    div = first_divergence_vs_golden(system, run.trace, golden_dir)
+    if run.digest == want and div is None:
+        return None
+    detail = ("trace digest changed" if run.digest != want else
+              "digest matches but the committed trace text differs")
+    if div is not None:
+        detail += (f"; first divergence at step {div['step']}: "
+                   f"golden={div['golden']!r} current={div['current']!r}")
+    return {"system": system, "golden_digest": want,
+            "current_digest": run.digest, "divergence": div,
+            "detail": detail}
+
+
+def check_golden(golden_dir: str = GOLDEN_DIR) -> List[Dict[str, object]]:
+    """Re-run the pinned scenario and diff every system against the
+    golden files (:func:`golden_mismatch`).
+
+    Returns one mismatch record per diverging system; empty list =
+    everything matches.
+    """
+    if not golden_digests(golden_dir):
         raise FileNotFoundError(
             f"no golden digests under {golden_dir}; run "
-            f"`repro oracle --regen` once and commit the result")
-    runs = _run_all(GOLDEN_SCENARIO)
-    mismatches: List[Dict[str, object]] = []
-    for system, run in runs.items():
-        want = pinned.get(system)
-        if want is None:
-            mismatches.append({"system": system, "golden_digest": None,
-                               "current_digest": run.digest,
-                               "divergence": None,
-                               "detail": "system not pinned; regen"})
-            continue
-        if not run.ok:
-            mismatches.append({"system": system, "golden_digest": want,
-                               "current_digest": None, "divergence": None,
-                               "detail": f"run failed: {run.error}"})
-            continue
-        div = first_divergence_vs_golden(system, run.trace, golden_dir)
-        if run.digest == want and div is None:
-            continue
-        detail = ("trace digest changed" if run.digest != want else
-                  "digest matches but the committed trace text differs")
-        if div is not None:
-            detail += (f"; first divergence at step {div['step']}: "
-                       f"golden={div['golden']!r} "
-                       f"current={div['current']!r}")
-        mismatches.append({"system": system, "golden_digest": want,
-                           "current_digest": run.digest,
-                           "divergence": div, "detail": detail})
+            f"`python -m repro.bench oracle --regen` once and commit "
+            f"the result")
+    mismatches = []
+    for system, run in _run_all(GOLDEN_SCENARIO).items():
+        mismatch = golden_mismatch(system, run, golden_dir)
+        if mismatch is not None:
+            mismatches.append(mismatch)
     return mismatches

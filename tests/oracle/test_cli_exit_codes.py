@@ -20,7 +20,7 @@ TINY = Scenario(name="cli-tiny", dataset="tiny", epochs=1)
 
 
 # ----------------------------------------------------------------------
-# repro oracle / python -m repro.bench oracle
+# repro bench oracle / python -m repro.bench oracle
 # ----------------------------------------------------------------------
 def test_bench_oracle_exit_zero_when_clean(tmp_path):
     out = str(tmp_path / "BENCH_oracle.json")
@@ -33,9 +33,9 @@ def test_bench_oracle_exit_zero_when_clean(tmp_path):
 
 
 def test_bench_oracle_exit_nonzero_on_missing_golden(tmp_path):
-    artifact = bench_oracle.run_oracle(
+    artifact = bench_oracle.run(
         matrix=(), fuzz=0, golden=True, golden_dir=str(tmp_path),
-        output=None, verbose=False)
+        verbose=False)[0]
     assert not artifact["ok"]
     assert "regen" in artifact["golden"]["error"]
 
@@ -45,25 +45,28 @@ def test_bench_oracle_exit_nonzero_on_golden_mismatch(tmp_path, monkeypatch):
     with open(tmp_path / "digests.json", "w") as fh:
         json.dump({"scenario": GOLDEN_SCENARIO.to_dict(),
                    "digests": digests}, fh)
-    artifact = bench_oracle.run_oracle(
+    artifact = bench_oracle.run(
         matrix=(), fuzz=0, golden=True, golden_dir=str(tmp_path),
-        output=None, verbose=False)
+        verbose=False)[0]
     assert not artifact["ok"]
     systems = [m["system"] for m in artifact["golden"]["mismatches"]]
     assert "gnndrive-gpu" in systems
 
 
-def test_repro_oracle_exit_codes(monkeypatch):
-    monkeypatch.setattr(bench_oracle, "run_oracle",
-                        lambda **kw: {"ok": True})
-    assert cli_main(["oracle"]) == 0
-    monkeypatch.setattr(bench_oracle, "run_oracle",
-                        lambda **kw: {"ok": False})
-    assert cli_main(["oracle"]) == 1
+def test_repro_oracle_exit_codes(monkeypatch, tmp_path):
+    out = str(tmp_path / "BENCH_oracle.json")
+    monkeypatch.setattr(bench_oracle, "run",
+                        lambda **kw: ({"ok": True}, {}, {}, {}))
+    assert cli_main(["bench", "oracle", "-o", out]) == 0
+    monkeypatch.setattr(bench_oracle, "run",
+                        lambda **kw: ({"ok": False}, {}, {}, {}))
+    assert cli_main(["bench", "oracle", "-o", out]) == 1
+    assert json.load(open(out))["ok"] is False
 
 
 def test_oracle_violation_fails_the_artifact(monkeypatch):
-    """A violating scenario report makes run_oracle red end to end."""
+    """A violating scenario report makes the oracle bench red end to
+    end."""
 
     def fake_check(scenario, oracles=None):
         return {"scenario": scenario.to_dict(),
@@ -72,9 +75,8 @@ def test_oracle_violation_fails_the_artifact(monkeypatch):
                 "ok": False}
 
     monkeypatch.setattr(bench_oracle, "check_scenario", fake_check)
-    artifact = bench_oracle.run_oracle(matrix=(TINY,), fuzz=0,
-                                       golden=False, output=None,
-                                       verbose=False)
+    artifact = bench_oracle.run(matrix=(TINY,), fuzz=0, golden=False,
+                                verbose=False)[0]
     assert not artifact["ok"]
     assert any("synthetic violation" in v
                for v in artifact["matrix"]["violations"])

@@ -67,9 +67,19 @@ def test_experiment_tab1(capsys):
 
 
 def test_fio_command(capsys):
-    rc, out = run_cli(capsys, "fio")
+    rc, out = run_cli(capsys, "experiment", "figB1")
     assert rc == 0
     assert "sync bandwidth" in out
+
+
+@pytest.mark.parametrize("command", ["oracle", "fio"])
+def test_removed_commands_are_unknown(command, capsys):
+    """``repro oracle`` and ``repro fio`` forked ``repro bench oracle``
+    and ``repro experiment figB1``; both are gone."""
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_parser_requires_command():
