@@ -25,15 +25,14 @@ from typing import Generator, List, Optional
 
 import numpy as np
 
-from repro.core.base import TrainConfig, TrainingSystem, activation_bytes
-from repro.core.stats import EpochStats, StageBreakdown
+from repro.core.base import TrainConfig, TrainingSystem
 from repro.errors import OutOfMemoryError
 from repro.graph.datasets import DiskDataset
 from repro.graph.partition import buffer_order, partition_nodes
 from repro.machine import Machine
-from repro.models.train import train_step
 from repro.sampling import NeighborSampler
-from repro.sampling.subgraph import SampledSubgraph
+from repro.sampling.subgraph import LayerAdj, SampledSubgraph
+from repro.simcore import Event
 
 #: Data preparation materialises reordering scratch proportional to the
 #: feature table (Marius permutes node data into partition order).
@@ -121,12 +120,10 @@ class MariusGNN(TrainingSystem):
                             resident: np.ndarray) -> SampledSubgraph:
         """Faithful accuracy-risk model: sampling sees only buffered
         partitions, so edges from non-resident sources are dropped."""
-        keep_node = resident[self.part[sub.all_nodes]]
         new_layers = []
         for layer in sub.layers:
             src_global = sub.all_nodes[layer.src_pos]
             ok = resident[self.part[src_global]]
-            from repro.sampling.subgraph import LayerAdj
             new_layers.append(LayerAdj(layer.src_pos[ok], layer.dst_pos[ok],
                                        layer.num_src, layer.num_dst))
         return SampledSubgraph(sub.seeds, sub.all_nodes, new_layers,
@@ -169,7 +166,7 @@ class MariusGNN(TrainingSystem):
                                tag=self.dataset.feat_handle.name)
         yield from m.io_wait(ev)
 
-    def _train_state(self, state: List[int], epoch: int) -> Generator:
+    def _train_state(self, state: List[int]) -> Generator:
         """Train mini-batches of every not-yet-trained partition in the
         buffer (each seed partition is trained once per epoch, when it
         first enters the buffer)."""
@@ -198,37 +195,17 @@ class MariusGNN(TrainingSystem):
             # nodes in non-resident partitions get NO features — Marius
             # trains only with buffered data (the accuracy risk §2 notes);
             # their edges were already dropped above.
-            nonresident_mask = ~resident[self.part[sub.all_nodes]]
-
             t0 = m.sim.now
-            gpu = m.gpus[0]
-            feat_bytes = int(sub.num_sampled_nodes
-                             * self.dataset.features.record_nbytes)
-            act = activation_bytes(sub, self.dims)
-            gpu.allocate(feat_bytes + act, tag="batch")
-            try:
-                yield m.pcie[0].copy_async(feat_bytes)
-                duration = m.gpu_cost.train_step_time(
-                    self.model_kind, sub.layer_sizes(), self.dims)
-                yield from m.gpu_task(0, duration)
-            finally:
-                gpu.free(feat_bytes + act, tag="batch")
-            feats = self.dataset.features.gather(sub.all_nodes)
-            feats[nonresident_mask] = 0.0  # not in the buffer: no data
-            loss, correct = train_step(self.model, self.optimizer, feats,
-                                       sub, self.dataset.labels)
-            self._epoch_loss_sum += loss
-            self._epoch_correct += correct
-            self._epoch_seen += len(sub.seeds)
-            self._num_batches += 1
+            yield from self._gpu_train_step(
+                sub, absent=~resident[self.part[sub.all_nodes]])
+            self._epoch_batches += 1
             self._stage.train += m.sim.now - t0
 
-    def _epoch_proc(self, epoch: int, done_event) -> Generator:
+    def _epoch_proc(self, done_event) -> Generator:
         m = self.machine
         t0 = m.sim.now
         yield from self._data_preparation()
         self._stage.data_prep += m.sim.now - t0
-        self._prep_time = self._stage.data_prep
 
         # Fresh per-epoch trainable pools (each partition trained once).
         self._trainable_seeds = [s.copy() for s in self._seeds_by_part]
@@ -241,57 +218,14 @@ class MariusGNN(TrainingSystem):
             # else: the initial buffer was loaded during data preparation.
             # sim-race: ordered -- epoch procs never co-run (each is
             # awaited to completion before the next spawns).
-            yield from self._train_state(list(state), epoch)
+            yield from self._train_state(list(state))
             prev_state = list(state)
         done_event.succeed(m.sim.now)
 
     # ------------------------------------------------------------------
-    def run_epochs(self, num_epochs: int,
-                   target_accuracy: Optional[float] = None,
-                   time_budget: Optional[float] = None,
-                   eval_every: int = 0) -> List[EpochStats]:
-        m = self.machine
-        sim = m.sim
-        for epoch in range(len(self.epoch_stats),
-                           len(self.epoch_stats) + num_epochs):
-            self._stage = StageBreakdown()
-            self._epoch_loss_sum = 0.0
-            self._epoch_correct = 0
-            self._epoch_seen = 0
-            self._num_batches = 0
-            m.sanitize_epoch_begin()
-            t_start = sim.now
-            bytes0 = m.ssd.bytes_read
-            feat0 = m.ssd.read_bytes_for(self.dataset.feat_handle.name)
-            f0 = m.fault_counters()
-            done = sim.event()
-            sim.process(self._epoch_proc(epoch, done), name="marius")
-            sim.run_until_triggered(done, until=time_budget)
-            m.sanitize_epoch_end()
-
-            stats = EpochStats(
-                epoch=epoch,
-                epoch_time=sim.now - t_start,
-                stages=self._stage.snapshot(),
-                loss=self._epoch_loss_sum / max(1, self._num_batches),
-                train_acc=self._epoch_correct / max(1, self._epoch_seen),
-                num_batches=self._num_batches,
-                bytes_read=m.ssd.bytes_read - bytes0,
-                faults=m.fault_counters_delta(f0),
-            )
-            stats.extra["feat_bytes_read"] = (
-                m.ssd.read_bytes_for(self.dataset.feat_handle.name) - feat0)
-            stats.extra["data_prep_time"] = self._stage.data_prep
-            stats.extra["training_time"] = (stats.epoch_time
-                                            - self._stage.data_prep)
-            if eval_every and (epoch + 1) % eval_every == 0:
-                stats.val_acc = self.evaluate()
-            self.epoch_stats.append(stats)
-            if (target_accuracy is not None
-                    and not np.isnan(stats.val_acc)
-                    and stats.val_acc >= target_accuracy):
-                break
-        return self.epoch_stats
-
-    def shutdown(self) -> None:
-        pass
+    def _launch_epoch(self, epoch: int) -> List[Event]:
+        # _train_state counts the batches: the partition buffer, not
+        # the plan, forms them.
+        done = self.machine.sim.event()
+        self.machine.sim.process(self._epoch_proc(done), name="marius")
+        return [done]

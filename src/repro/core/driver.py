@@ -26,16 +26,16 @@ Sizing rules from the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional
+from typing import Generator, List, Tuple
 
 import numpy as np
 
-from repro.core.base import TrainConfig, TrainingSystem, activation_bytes
+from repro.core.base import (TrainConfig, TrainingSystem, activation_bytes,
+                             probe_batch_shape)
 from repro.core.config import GNNDriveConfig
 from repro.core.feature_buffer import FeatureBuffer
 from repro.core.sampling_io import topo_access_with_retry
 from repro.core.staging import StagingBuffer
-from repro.core.stats import EpochStats, StageBreakdown
 from repro.errors import OutOfMemoryError
 from repro.faults.recovery import (recover_failed_reads,
                                    reserve_staging_with_backoff)
@@ -44,7 +44,7 @@ from repro.machine import Machine
 from repro.models.train import forward_backward
 from repro.sampling import NeighborSampler
 from repro.sampling.subgraph import SampledSubgraph
-from repro.simcore import AllOf, Store
+from repro.simcore import AllOf, Event, Store
 from repro.storage import AsyncRing
 
 #: Queue sentinel telling an actor pool to drain and exit.
@@ -103,11 +103,11 @@ class GNNDrive(TrainingSystem):
         # Size Mb (max nodes per mini-batch) and the per-batch
         # activation footprint from trial samples.
         # ------------------------------------------------------------
-        from repro.core.base import probe_batch_shape
         observed, observed_act = probe_batch_shape(
             dataset, self.fanouts, train_cfg.batch_size, dims=self.dims,
             seed=train_cfg.seed)
         self.max_batch_nodes = int(observed * config.batch_nodes_margin)
+        #: Device bytes reserved for per-batch training activations.
         self._probe_act_bytes = int(observed_act * config.batch_nodes_margin)
 
         io_size = dataset.features.io_size(config.direct_io)
@@ -157,7 +157,7 @@ class GNNDrive(TrainingSystem):
         if config.device == "gpu":
             gpu = m.gpus[config.gpu_id]
             budget = (gpu.available - self.model_state_bytes()
-                      - self._activation_reserve())
+                      - self._probe_act_bytes)
             affordable = budget // record_bytes
         else:
             # CPU variant: feature buffer lives in host memory.
@@ -225,16 +225,6 @@ class GNNDrive(TrainingSystem):
         self._started = False
         self._epoch_expected = {}
         self._epoch_done = {}
-        self._stage = StageBreakdown()
-        self._epoch_loss_sum = 0.0
-        self._epoch_correct = 0
-        self._epoch_seen = 0
-
-    # ------------------------------------------------------------------
-    def _activation_reserve(self) -> int:
-        """Device bytes reserved for per-batch training activations,
-        measured on trial subgraphs (with the Mb safety margin)."""
-        return self._probe_act_bytes
 
     # ------------------------------------------------------------------
     # Actors
@@ -303,8 +293,8 @@ class GNNDrive(TrainingSystem):
             nodes = item.subgraph.all_nodes
             if len(nodes) > self.max_batch_nodes:
                 raise OutOfMemoryError(
-                    len(nodes) * self.dataset.features.record_nbytes,
-                    self.max_batch_nodes * self.dataset.features.record_nbytes,
+                    len(nodes) * record_bytes,
+                    self.max_batch_nodes * record_bytes,
                     where="feature-buffer-reserve (batch exceeded Mb "
                           "estimate; raise batch_nodes_margin)")
             # sim-race: ordered -- slot protocol: extract_q FIFO hands
@@ -325,7 +315,8 @@ class GNNDrive(TrainingSystem):
             if self.staging is not None:
                 # sim-race: ordered -- staging grants follow FIFO waiter
                 # order, which the seq-pinned cohort order fixes.
-                yield from self._reserve_staging(len(to_load))
+                yield from reserve_staging_with_backoff(
+                    m, self.staging, len(to_load), self.staging_portion)
             # SQE construction and buffer bookkeeping on a CPU core.
             yield from m.cpu_task(PER_BATCH_COST
                                   + len(nodes) * PER_NODE_SUBMIT_COST)
@@ -356,9 +347,9 @@ class GNNDrive(TrainingSystem):
                     # sim-race: ordered -- recovery resubmits go through
                     # this extractor's private ring; SSD queueing order
                     # within a cohort is seq-pinned and digest-verified.
-                    t_load, dropped_nodes = yield from \
-                        self._recover_failed_reads(ring, feat_handle,
-                                                   ssd_nodes, t_load, res)
+                    t_load, dropped_nodes = yield from recover_failed_reads(
+                        m, ring, feat_handle, ssd_nodes, t_load, res,
+                        self.io_size, record_bytes)
                 if len(t_load) < len(to_load):
                     # Page-cache hits are ready immediately.
                     t_load = np.concatenate([
@@ -402,24 +393,6 @@ class GNNDrive(TrainingSystem):
                                               item.subgraph, aliases))
 
     # ------------------------------------------------------------------
-    # Recovery plane (fault plans only; never entered without one)
-    # ------------------------------------------------------------------
-    def _reserve_staging(self, n: int) -> Generator:
-        """Staging reservation with bounded backoff (shared helper)."""
-        result = yield from reserve_staging_with_backoff(
-            self.machine, self.staging, n, self.staging_portion)
-        return result
-
-    def _recover_failed_reads(self, ring: AsyncRing, handle, ssd_nodes,
-                              t_load: np.ndarray, res: np.ndarray
-                              ) -> Generator:
-        """Ring-read recovery ladder (shared helper; see
-        :func:`repro.faults.recovery.recover_failed_reads`)."""
-        result = yield from recover_failed_reads(
-            self.machine, ring, handle, ssd_nodes, t_load, res,
-            self.io_size, self.dataset.features.record_nbytes)
-        return result
-
     def _adapt_feature_buffer(self) -> None:
         """Shed/restore cold feature-buffer capacity under injected
         host-memory pressure (CPU placement: the buffer is pinned host
@@ -481,9 +454,7 @@ class GNNDrive(TrainingSystem):
                 yield from self.shared.sync_group.sync(self.worker_id,
                                                        self.model)
             self.optimizer.step()
-            self._epoch_loss_sum += loss
-            self._epoch_correct += correct
-            self._epoch_seen += len(sub.seeds)
+            self._record_batch(loss, correct, sub.seeds)
             self._stage.train += m.sim.now - t0
             if m.tracer:
                 m.tracer.span(f"batch {item.batch_id}", "train", "trainer",
@@ -530,62 +501,17 @@ class GNNDrive(TrainingSystem):
                                                 name=f"releaser{i}"))
         self._started = True
 
-    def run_epochs(self, num_epochs: int,
-                   target_accuracy: Optional[float] = None,
-                   time_budget: Optional[float] = None,
-                   eval_every: int = 0) -> List[EpochStats]:
-        m = self.machine
+    def _launch_epoch(self, epoch: int) -> List[Event]:
         self._start_actors()
-        for epoch in range(len(self.epoch_stats),
-                           len(self.epoch_stats) + num_epochs):
-            batches = self.plan.epoch_batches()
-            self._epoch_expected[epoch] = len(batches)
-            done = m.sim.event()
-            self._epoch_done[epoch] = done
-            self._stage = StageBreakdown()
-            self._epoch_loss_sum = 0.0
-            self._epoch_correct = 0
-            self._epoch_seen = 0
-            m.sanitize_epoch_begin()
-            t_start = m.sim.now
-            ssd_bytes0 = m.ssd.bytes_read
-            feat0 = m.ssd.read_bytes_for(self.dataset.feat_handle.name)
-            hits0, miss0 = m.page_cache.hits, m.page_cache.misses
-            reuse0 = self.feature_buffer.stat_reused
-            load0 = self.feature_buffer.stat_loaded
-            f0 = m.fault_counters()
+        batches = self.plan.epoch_batches()
+        self._epoch_batches = self._epoch_expected[epoch] = len(batches)
+        done = self._epoch_done[epoch] = self.machine.sim.event()
+        self.pending_q.put_many(
+            (epoch, batch_id, seeds) for batch_id, seeds in enumerate(batches))
+        return [done]
 
-            self.pending_q.put_many(
-                (epoch, batch_id, seeds)
-                for batch_id, seeds in enumerate(batches))
-            # Drive the simulation until the trainer finishes the epoch.
-            m.sim.run_until_triggered(done, until=time_budget)
-            m.sanitize_epoch_end()
-
-            stats = EpochStats(
-                epoch=epoch,
-                epoch_time=m.sim.now - t_start,
-                stages=self._stage.snapshot(),
-                loss=self._epoch_loss_sum / max(1, len(batches)),
-                train_acc=self._epoch_correct / max(1, self._epoch_seen),
-                num_batches=len(batches),
-                bytes_read=m.ssd.bytes_read - ssd_bytes0,
-                cache_hits=m.page_cache.hits - hits0,
-                cache_misses=m.page_cache.misses - miss0,
-                reused_nodes=self.feature_buffer.stat_reused - reuse0,
-                loaded_nodes=self.feature_buffer.stat_loaded - load0,
-                faults=m.fault_counters_delta(f0),
-            )
-            stats.extra["feat_bytes_read"] = (
-                m.ssd.read_bytes_for(self.dataset.feat_handle.name) - feat0)
-            if eval_every and (epoch + 1) % eval_every == 0:
-                stats.val_acc = self.evaluate()
-            self.epoch_stats.append(stats)
-            if (target_accuracy is not None
-                    and not np.isnan(stats.val_acc)
-                    and stats.val_acc >= target_accuracy):
-                break
-        return self.epoch_stats
+    def _reuse_counters(self) -> Tuple[int, int]:
+        return self.feature_buffer.stat_reused, self.feature_buffer.stat_loaded
 
     def teardown(self) -> None:
         """Release the resident topology.

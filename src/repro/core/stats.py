@@ -24,16 +24,19 @@ class StageBreakdown:
         return (self.sample + self.extract + self.train + self.release
                 + self.data_prep)
 
-    def snapshot(self) -> "StageBreakdown":
-        """Value copy for freezing into :class:`EpochStats`.
+    def __add__(self, other: "StageBreakdown") -> "StageBreakdown":
+        """Stage-wise sum, as a new value.
 
-        Systems accumulate into one live breakdown per epoch; storing
-        that object by reference lets late pipeline events (e.g. a
-        trailing release span processed during shutdown) retroactively
-        mutate already-published epoch stats.
+        Epoch stats publish a sum rather than a pipeline's live
+        breakdown: storing that object by reference would let late
+        pipeline events (e.g. a trailing release span processed during
+        shutdown) retroactively mutate already-published epoch stats.
         """
-        return StageBreakdown(self.sample, self.extract, self.train,
-                              self.release, self.data_prep)
+        return StageBreakdown(self.sample + other.sample,
+                              self.extract + other.extract,
+                              self.train + other.train,
+                              self.release + other.release,
+                              self.data_prep + other.data_prep)
 
 
 @dataclass

@@ -144,6 +144,25 @@ def test_ginex_feature_cache_hits_accumulate():
     assert stats[-1].loaded_nodes >= 0
 
 
+def test_ginex_reuse_counters_are_per_epoch(monkeypatch):
+    """Each epoch's feature-cache hits plus misses are exactly the
+    sampled-node accesses of that epoch alone, not a running total."""
+    m, s = build()
+    sample = s.sampler.sample
+    accesses = []
+
+    def counting_sample(seeds):
+        sub = sample(seeds)
+        accesses.append(sub.num_sampled_nodes)
+        return sub
+
+    monkeypatch.setattr(s.sampler, "sample", counting_sample)
+    for _ in range(3):
+        accesses.clear()
+        stats = s.run_epochs(1)[-1]
+        assert stats.reused_nodes + stats.loaded_nodes == sum(accesses)
+
+
 def test_ginex_sample_only_close_to_all():
     """Fig. 2: Ginex-only ~ Ginex-all (separate caches)."""
     ds = make_dataset("tiny", seed=0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import PyGPlus, PyGPlusConfig
+from repro.bench.runner import build_system
 from repro.core.base import TrainConfig
 from repro.errors import OutOfMemoryError, OutOfTimeError
 from repro.graph import make_dataset
@@ -44,6 +45,25 @@ def test_sample_only_mode_skips_extract_and_train():
     assert stats[0].stages.sample > 0.0
     assert np.isnan(stats[0].loss)
     s.shutdown()
+
+
+@pytest.mark.parametrize("system", ["gnndrive-gpu", "pyg+", "ginex"])
+def test_sample_only_epochs_report_nan_loss_and_skip_eval(system):
+    """One rule for Fig. 2's '-only' epochs in every system: no batch
+    trains, so the loss is NaN and no untrained model is evaluated."""
+    ds = make_dataset("tiny", seed=0)
+    m = Machine(MachineSpec.paper_scaled(host_gb=32))
+    s = build_system(system, m, ds, TrainConfig(batch_size=20),
+                     sample_only=True)
+    stats = s.run_epochs(2, eval_every=1)
+    s.shutdown()
+    for st in stats:
+        assert np.isnan(st.loss)
+        assert np.isnan(st.val_acc)
+        assert st.train_acc == 0.0
+        assert st.num_batches == s.plan.num_batches
+        assert st.stages.sample > 0.0
+        assert st.stages.extract == st.stages.train == 0.0
 
 
 def test_sample_only_faster_than_full_epoch():

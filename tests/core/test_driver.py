@@ -112,7 +112,7 @@ def test_train_queue_depth_adapts_to_device_memory():
     # ((Ne+1+1) batches of slots) plus model state and activations.
     needed_min = (probe.num_extractors + 2) * probe.max_batch_nodes
     tight = int(needed_min * rec + probe.model_state_bytes()
-                + probe._activation_reserve() + rec)
+                + probe._probe_act_bytes + rec)
     machine = Machine(MachineSpec.paper_scaled(host_gb=32,
                                                gpu_capacity=tight))
     sysm = GNNDrive(machine, fresh_ds(), TrainConfig(batch_size=20),

@@ -11,11 +11,10 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.baselines import ginex, mariusgnn, pygplus
 from repro.bench.runner import (SYSTEM_NAMES, build_system, get_dataset,
                                 run_system)
 from repro.cluster import ClusterScenario, ClusterSim
-from repro.core import driver
+from repro.core import base, driver
 from repro.core.base import TrainConfig
 from repro.machine import DEFAULT_SCALE, Machine, MachineSpec
 from repro.serve import InferenceServer, ServeScenario, server
@@ -162,9 +161,9 @@ def _cluster(ds, tc):
 ACTOR_FAILURES = {
     "gnndrive-gpu": (driver, "forward_backward", 3, _train("gnndrive-gpu")),
     "gnndrive-cpu": (driver, "forward_backward", 3, _train("gnndrive-cpu")),
-    "pyg+": (pygplus, "train_step", 3, _train("pyg+")),
-    "ginex": (ginex, "train_step", 3, _train("ginex")),
-    "mariusgnn": (mariusgnn, "train_step", 3, _train("mariusgnn")),
+    "pyg+": (base, "train_step", 3, _train("pyg+")),
+    "ginex": (base, "train_step", 3, _train("ginex")),
+    "mariusgnn": (base, "train_step", 3, _train("mariusgnn")),
     "multigpu-2": (driver, "forward_backward", 3, _train("multigpu", 2)),
     "serve": (server, "predict", 3, _serve()),
     "serve-resilience": (server, "predict", 3,
