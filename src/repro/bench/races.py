@@ -63,46 +63,45 @@ def _static_layer(verbose: bool) -> Dict:
     return layer
 
 
-def _run_entry(run, system: str) -> Dict:
-    rr = run.race_report or {}
-    return {
+def _run_entry(on, off, system: str, scenario: str,
+               verbose: bool) -> Dict:
+    """One run path with the detector armed (*on*) and disarmed
+    (*off*): the race report, and whether the digests match."""
+    rr = on.race_report or {}
+    entry = {
         "system": system,
-        "status": run.status,
+        "status": on.status,
         "unwaived": rr.get("unwaived", 0),
         "conflicts": rr.get("conflicts", 0),
         "waived": rr.get("waived", {}),
         "deadlock_groups": rr.get("deadlock_groups", []),
         "accesses_recorded": rr.get("accesses_recorded", 0),
+        "scenario": scenario,
+        "digest_equal": on.digest == off.digest,
     }
+    entry["ok"] = (entry["unwaived"] == 0 and not entry["deadlock_groups"]
+                   and entry["digest_equal"])
+    if verbose:
+        mark = "ok" if entry["ok"] else "FAIL"
+        print(f"dynamic {scenario:<14} {system:<13} {on.status:<4} {mark}  "
+              f"(unwaived={entry['unwaived']}, "
+              f"conflicts={entry['conflicts']}, "
+              f"deadlocks={len(entry['deadlock_groups'])}, "
+              f"digest={'=' if entry['digest_equal'] else '!='})")
+    return entry
 
 
 def _dynamic_layer(matrix: Sequence[Scenario], verbose: bool) -> Dict:
     """Armed runs over the matrix + digest equality vs. disarmed runs."""
     runs = []
-    ok = True
     for sc in matrix:
         runner = ScenarioRunner(sc)
         for system in ALL_SYSTEMS:
             kw = {"num_workers": 2} if system == "multigpu" else {}
-            on = runner.run(system, races=True, **kw)
-            off = runner.run(system, races=False, **kw)
-            entry = _run_entry(on, system)
-            entry["scenario"] = sc.name
-            entry["digest_equal"] = on.digest == off.digest
-            entry["ok"] = (entry["unwaived"] == 0
-                           and not entry["deadlock_groups"]
-                           and entry["digest_equal"])
-            ok = ok and entry["ok"]
-            runs.append(entry)
-            if verbose:
-                mark = "ok" if entry["ok"] else "FAIL"
-                print(f"dynamic {sc.name:<14} {system:<13} "
-                      f"{on.status:<4} {mark}  "
-                      f"(unwaived={entry['unwaived']}, "
-                      f"conflicts={entry['conflicts']}, "
-                      f"deadlocks={len(entry['deadlock_groups'])}, "
-                      f"digest={'=' if entry['digest_equal'] else '!='})")
-    return {"runs": runs, "ok": ok}
+            runs.append(_run_entry(runner.run(system, races=True, **kw),
+                                   runner.run(system, races=False, **kw),
+                                   system, sc.name, verbose))
+    return {"runs": runs, "ok": all(entry["ok"] for entry in runs)}
 
 
 def _serve_layer(verbose: bool) -> Dict:
@@ -110,20 +109,8 @@ def _serve_layer(verbose: bool) -> Dict:
     from repro.serve.scenario import ServeScenario, run_serve_scenario
 
     sc = ServeScenario(name="races-smoke")
-    on = run_serve_scenario(sc, races=True)
-    off = run_serve_scenario(sc)
-    entry = _run_entry(on, "serve")
-    entry["scenario"] = sc.name
-    entry["digest_equal"] = on.digest == off.digest
-    entry["ok"] = (entry["unwaived"] == 0 and not entry["deadlock_groups"]
-                   and entry["digest_equal"])
-    if verbose:
-        mark = "ok" if entry["ok"] else "FAIL"
-        print(f"dynamic {sc.name:<14} {'serve':<13} {on.status:<4} {mark}  "
-              f"(unwaived={entry['unwaived']}, "
-              f"conflicts={entry['conflicts']}, "
-              f"deadlocks={len(entry['deadlock_groups'])}, "
-              f"digest={'=' if entry['digest_equal'] else '!='})")
+    entry = _run_entry(run_serve_scenario(sc, races=True),
+                       run_serve_scenario(sc), "serve", sc.name, verbose)
     return {"runs": [entry], "ok": entry["ok"]}
 
 

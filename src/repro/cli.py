@@ -177,57 +177,42 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
-    from repro.serve import ServeScenario, run_serve_scenario
+def _fault_preset(command: str, presets, faults) -> Optional[str]:
+    """The one fault-plan preset whose flag is set ("none" without
+    one), or None after printing why the fault flags conflict."""
+    chosen = [name for name, on in presets.items() if on]
+    if len(chosen) + (faults is not None) > 1:
+        flags = " / ".join(f"--{name}" for name in presets)
+        print(f"{command}: pick at most one of {flags} / --faults")
+        return None
+    return chosen[0] if chosen else "none"
 
-    if args.chaos and args.replica_chaos:
-        print("serve: pick one of --chaos / --replica-chaos")
-        return 2
-    plan = "none"
-    if args.chaos:
-        plan = "chaos"
-    elif args.replica_chaos:
-        plan = "replica-chaos"
-    if args.faults is not None and plan != "none":
-        print("serve: --faults is mutually exclusive with "
-              "--chaos/--replica-chaos")
-        return 2
-    scenario = ServeScenario(
-        name="cli-serve", dataset=args.dataset, dataset_scale=args.scale,
-        host_gb=args.host_gb, backend=args.backend, kind=args.kind,
-        rate=args.rate, num_requests=args.requests,
-        seeds_per_request=args.seeds_per_request, slo=args.slo,
-        max_batch_size=args.max_batch_size, max_wait=args.max_wait,
-        num_replicas=args.replicas, model_kind=args.model,
-        fault_plan=plan, fault_plan_file=args.faults,
-        hedge=not args.no_hedge, seed=args.seed)
-    run = run_serve_scenario(scenario)
+
+def _request_report(command: str, run, plane_rows, title: str) -> int:
+    """Print a serve or cluster run's stats table, the plane's own
+    ``plane_rows(stats)`` last, and its fault ledger.
+
+    Returns the exit code: 1 when the run did not complete, left a
+    sanitizer finding or breaks the accounting identity, else 0.
+    """
     if not run.ok:
-        print(f"serve: {run.status} ({run.error})")
+        print(f"{command}: {run.status} ({run.error})")
         return 1
     s = run.stats
-    print(format_table(
-        ["metric", "value"],
-        [["backend", s.backend],
-         ["offered", s.offered],
-         ["completed", s.completed],
-         ["shed", s.shed],
-         ["timed out", s.timed_out],
-         ["failed", s.failed],
-         ["SLO misses", s.slo_miss],
-         ["SLO attainment", s.slo_attainment],
-         ["throughput (req/s)", s.throughput],
-         ["goodput (req/s)", s.goodput],
-         ["p50 latency (ms)", s.latency_p50 * 1e3],
-         ["p95 latency (ms)", s.latency_p95 * 1e3],
-         ["p99 latency (ms)", s.latency_p99 * 1e3],
-         ["batches", s.num_batches],
-         ["mean batch size", s.mean_batch_size],
-         ["bytes read", s.bytes_read],
-         ["reused nodes", s.reused_nodes],
-         ["loaded nodes", s.loaded_nodes]],
-        f"{scenario.backend} serving on {args.dataset} "
-        f"@ {args.rate:g} req/s (SLO {args.slo * 1e3:g} ms)"))
+    print(format_table(["metric", "value"], [
+        ["offered", s.offered],
+        ["completed", s.completed],
+        ["shed", s.shed],
+        ["timed out", s.timed_out],
+        ["failed", s.failed],
+        ["SLO misses", s.slo_miss],
+        ["SLO attainment", s.slo_attainment],
+        ["throughput (req/s)", s.throughput],
+        ["goodput (req/s)", s.goodput],
+        ["p50 latency (ms)", s.latency_p50 * 1e3],
+        ["p95 latency (ms)", s.latency_p95 * 1e3],
+        ["p99 latency (ms)", s.latency_p99 * 1e3],
+    ] + plane_rows(s), title))
     nonzero = {k: v for k, v in s.faults.items() if v}
     if nonzero:
         print("\nfault ledger:")
@@ -245,13 +230,41 @@ def cmd_serve(args) -> int:
     return rc
 
 
+def cmd_serve(args) -> int:
+    from repro.serve import ServeScenario, run_serve_scenario
+
+    plan = _fault_preset("serve", {"chaos": args.chaos,
+                                   "replica-chaos": args.replica_chaos},
+                         args.faults)
+    if plan is None:
+        return 2
+    scenario = ServeScenario(
+        name="cli-serve", dataset=args.dataset, dataset_scale=args.scale,
+        host_gb=args.host_gb, backend=args.backend, kind=args.kind,
+        rate=args.rate, num_requests=args.requests,
+        seeds_per_request=args.seeds_per_request, slo=args.slo,
+        max_batch_size=args.max_batch_size, max_wait=args.max_wait,
+        num_replicas=args.replicas, model_kind=args.model,
+        fault_plan=plan, fault_plan_file=args.faults,
+        hedge=not args.no_hedge, seed=args.seed)
+    return _request_report(
+        "serve", run_serve_scenario(scenario),
+        lambda s: [["backend", s.backend],
+                   ["batches", s.num_batches],
+                   ["mean batch size", s.mean_batch_size],
+                   ["bytes read", s.bytes_read],
+                   ["reused nodes", s.reused_nodes],
+                   ["loaded nodes", s.loaded_nodes]],
+        f"{scenario.backend} serving on {args.dataset} "
+        f"@ {args.rate:g} req/s (SLO {args.slo * 1e3:g} ms)")
+
+
 def cmd_cluster(args) -> int:
     from repro.cluster import ClusterScenario, run_cluster_scenario
 
-    plan = "shard-chaos" if args.shard_chaos else "none"
-    if args.faults is not None and plan != "none":
-        print("cluster: --faults is mutually exclusive with "
-              "--shard-chaos")
+    plan = _fault_preset("cluster", {"shard-chaos": args.shard_chaos},
+                         args.faults)
+    if plan is None:
         return 2
     scenario = ClusterScenario(
         name="cli-cluster", dataset=args.dataset,
@@ -266,50 +279,18 @@ def cmd_cluster(args) -> int:
         hedge=not args.no_hedge, hot_fraction=args.hot_fraction,
         max_batch=args.max_batch, fault_plan=plan,
         fault_plan_file=args.faults, seed=args.seed)
-    run = run_cluster_scenario(scenario)
-    if not run.ok:
-        print(f"cluster: {run.status} ({run.error})")
-        return 1
-    s = run.stats
-    print(format_table(
-        ["metric", "value"],
-        [["shards", s.num_shards],
-         ["offered", s.offered],
-         ["completed", s.completed],
-         ["shed", s.shed],
-         ["timed out", s.timed_out],
-         ["failed", s.failed],
-         ["SLO misses", s.slo_miss],
-         ["SLO attainment", s.slo_attainment],
-         ["throughput (req/s)", s.throughput],
-         ["goodput (req/s)", s.goodput],
-         ["p50 latency (ms)", s.latency_p50 * 1e3],
-         ["p95 latency (ms)", s.latency_p95 * 1e3],
-         ["p99 latency (ms)", s.latency_p99 * 1e3],
-         ["shard reads", s.reads_total],
-         ["parts served", s.parts_served],
-         ["mean batch size", s.mean_batch_size],
-         ["hot mirrors", s.mirrors],
-         ["mirror wins", s.mirror_wins],
-         ["redirects", s.redirects]],
-        f"{s.num_shards}-shard cluster on {args.dataset} "
+    return _request_report(
+        "cluster", run_cluster_scenario(scenario),
+        lambda s: [["shards", s.num_shards],
+                   ["shard reads", s.reads_total],
+                   ["parts served", s.parts_served],
+                   ["mean batch size", s.mean_batch_size],
+                   ["hot mirrors", s.mirrors],
+                   ["mirror wins", s.mirror_wins],
+                   ["redirects", s.redirects]],
+        f"{args.shards}-shard cluster on {args.dataset} "
         f"@ {args.rate:g} req/s (SLO {args.slo * 1e3:g} ms, "
-        f"{args.popularity} popularity)"))
-    nonzero = {k: v for k, v in s.faults.items() if v}
-    if nonzero:
-        print("\nfault ledger:")
-        for key, val in nonzero.items():
-            print(f"  {key:<18} {val}")
-    rc = 0
-    for finding in run.findings:
-        print(f"sanitizer finding: {finding}")
-        rc = 1
-    try:
-        s.check_accounting()
-    except ValueError as exc:
-        print(f"accounting violation: {exc}")
-        rc = 1
-    return rc
+        f"{args.popularity} popularity)")
 
 
 def cmd_bench(args) -> int:

@@ -15,14 +15,12 @@ Entry points: :class:`ClusterScenario` / :func:`run_cluster_scenario`
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.ring import HashRing, remap_fraction
-from repro.cluster.scenario import (ClusterRun, ClusterScenario,
-                                    run_cluster_scenario)
+from repro.cluster.scenario import ClusterScenario, run_cluster_scenario
 from repro.cluster.sim import ClusterSim
 from repro.cluster.stats import ClusterStats
 
 __all__ = [
     "ClusterConfig",
-    "ClusterRun",
     "ClusterScenario",
     "ClusterSim",
     "ClusterStats",

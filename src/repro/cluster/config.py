@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.errors import ConfigError
-from repro.serve.config import require_finite_floats
+from repro.errors import ConfigError, require_finite_floats
 
 _PARTITIONERS = ("hash", "degree")
 
@@ -66,10 +65,6 @@ class ClusterConfig:
     part_cost_base: float = 5e-5
     node_hit_cost: float = 2e-7
     node_miss_cost: float = 4e-6
-    #: Stated SLO-attainment floor the cluster must hold through a
-    #: ``shard_down`` episode with ``replication >= 2`` (the brownout
-    #: gate of ``python -m repro.bench cluster``).
-    brownout_floor: float = 0.7
 
     def __post_init__(self):
         require_finite_floats(self)
@@ -105,8 +100,6 @@ class ClusterConfig:
         if self.node_hit_cost > self.node_miss_cost:
             raise ConfigError("node_hit_cost must not exceed "
                               "node_miss_cost")
-        if not 0.0 <= self.brownout_floor <= 1.0:
-            raise ConfigError("brownout_floor must be in [0, 1]")
 
     def with_(self, **kw) -> "ClusterConfig":
         return replace(self, **kw)

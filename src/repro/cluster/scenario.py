@@ -10,29 +10,22 @@ golden corpus and checked by oracles exactly like serve runs.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.cluster.config import ClusterConfig
-from repro.cluster.stats import ClusterStats
-from repro.errors import (OutOfMemoryError, OutOfTimeError,
-                          SimulationError)
-from repro.faults import EMPTY_PLAN, default_shard_chaos_plan
-from repro.machine import DEFAULT_SCALE, Machine, MachineSpec
+from repro.errors import ConfigError
+from repro.machine import Machine
+from repro.scenario import ScenarioBase, ScenarioRun, run_sanitized
 from repro.serve.config import WorkloadSpec
 
-_FAULT_PLANS = ("none", "empty", "shard-chaos")
 _POOLS = ("all", "test")
 
 
 @dataclass(frozen=True)
-class ClusterScenario:
+class ClusterScenario(ScenarioBase):
     """One point of the cluster configuration space."""
 
-    name: str
-    dataset: str = "tiny"
-    dataset_scale: float = 1.0
-    host_gb: float = 32.0
     # --- workload shape -------------------------------------------------
     kind: str = "poisson"
     rate: float = 400.0
@@ -68,44 +61,22 @@ class ClusterScenario:
     part_cost_base: float = 5e-5
     node_hit_cost: float = 2e-7
     node_miss_cost: float = 4e-6
-    brownout_floor: float = 0.7
-    # --- faults ---------------------------------------------------------
-    fault_plan: str = "none"
     #: Path to a FaultPlan JSON file (``repro cluster --faults``);
     #: mutually exclusive with a non-"none" ``fault_plan`` preset.
     fault_plan_file: Optional[str] = None
-    seed: int = 0
+
+    FAULT_PLANS = ("none", "empty", "shard-chaos")
 
     def __post_init__(self):
-        if self.fault_plan not in _FAULT_PLANS:
-            raise ValueError(f"unknown fault plan {self.fault_plan!r}; "
-                             f"known: {_FAULT_PLANS}")
-        if self.fault_plan_file is not None and self.fault_plan != "none":
-            raise ValueError("fault_plan_file and fault_plan are mutually "
-                             "exclusive; pick one")
+        super().__post_init__()
         if self.pool not in _POOLS:
-            raise ValueError(f"unknown pool {self.pool!r}; "
-                             f"known: {_POOLS}")
-        if not 0 < self.dataset_scale <= 1.0:
-            raise ValueError("dataset_scale must be in (0, 1]")
-        if not self.host_gb > 0:
-            raise ValueError("host_gb must be positive")
+            raise ConfigError(f"unknown pool {self.pool!r}; "
+                              f"known: {_POOLS}")
         if not self.slo > 0:
-            raise ValueError("slo must be positive")
+            raise ConfigError("slo must be positive")
         # Workload/cluster knobs are validated by the spec constructors.
         self.workload_spec()
         self.cluster_config()
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: Dict) -> "ClusterScenario":
-        return ClusterScenario(**d)
-
-    def with_(self, **kw) -> "ClusterScenario":
-        return replace(self, **kw)
 
     # ------------------------------------------------------------------
     def workload_spec(self) -> WorkloadSpec:
@@ -139,51 +110,11 @@ class ClusterScenario:
             batch_overhead=self.batch_overhead,
             part_cost_base=self.part_cost_base,
             node_hit_cost=self.node_hit_cost,
-            node_miss_cost=self.node_miss_cost,
-            brownout_floor=self.brownout_floor)
-
-    def machine_spec(self, races: bool = False) -> MachineSpec:
-        return MachineSpec.paper_scaled(
-            host_gb=self.host_gb,
-            scale=DEFAULT_SCALE * self.dataset_scale,
-            sanitize=True, sanitize_trace=True, sanitize_races=races,
-            faults=self.resolve_fault_plan())
-
-    def resolve_fault_plan(self):
-        if self.fault_plan_file is not None:
-            from repro.faults import load_plan
-            return load_plan(self.fault_plan_file)
-        if self.fault_plan == "empty":
-            return EMPTY_PLAN
-        if self.fault_plan == "shard-chaos":
-            return default_shard_chaos_plan()
-        return None
-
-
-@dataclass
-class ClusterRun:
-    """One cluster run executed under a scenario."""
-
-    scenario: ClusterScenario
-    status: str                    # 'ok' | 'OOM' | 'OOT'
-    stats: Optional[ClusterStats] = None
-    digest: str = ""
-    trace: Optional[List[Tuple]] = None
-    findings: List[str] = None
-    race_report: Optional[Dict] = None
-    error: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-    @property
-    def clean(self) -> bool:
-        return not self.findings
+            node_miss_cost=self.node_miss_cost)
 
 
 def run_cluster_scenario(scenario: ClusterScenario,
-                         races: bool = False) -> ClusterRun:
+                         races: bool = False) -> ScenarioRun:
     """Execute *scenario* sanitized with full tracing.
 
     *races* additionally arms the intra-cohort race detector; the run's
@@ -194,39 +125,15 @@ def run_cluster_scenario(scenario: ClusterScenario,
 
     dataset = get_dataset(scenario.dataset, scale=scenario.dataset_scale,
                           seed=scenario.seed)
-    pool = None
-    if scenario.pool == "test":
-        pool = dataset.test_idx
+    pool = dataset.test_idx if scenario.pool == "test" else None
     machine = Machine(scenario.machine_spec(races=races))
-    try:
-        cluster = ClusterSim(machine, dataset,
-                             config=scenario.cluster_config(),
-                             workload=scenario.workload_spec(),
-                             slo=scenario.slo, pool=pool)
-        stats = cluster.run()
+
+    def body():
+        stats = ClusterSim(machine, dataset,
+                           config=scenario.cluster_config(),
+                           workload=scenario.workload_spec(),
+                           slo=scenario.slo, pool=pool).run()
         stats.check_accounting()
-        status, error = "ok", ""
-    except OutOfMemoryError as exc:
-        stats, status, error = None, "OOM", str(exc)
-    except OutOfTimeError as exc:
-        stats, status, error = None, "OOT", str(exc)
-    san = machine.sanitizer
-    race_report = None
-    if san is not None and san.races is not None:
-        san.races.finalize()
-        race_report = san.races.report_dict()
-    findings = [f.render() for f in san.findings] if san else []
-    if status == "ok" and machine.faults is not None:
-        try:
-            machine.faults.ledger.check_invariants()
-        except SimulationError as exc:
-            findings.append(f"fault-ledger: {exc}")
-    return ClusterRun(
-        scenario=scenario,
-        status=status,
-        stats=stats,
-        digest=san.trace_digest() if san is not None else "",
-        trace=list(san.trace) if san is not None else None,
-        findings=findings,
-        race_report=race_report,
-        error=error)
+        return stats
+
+    return run_sanitized(machine, body)

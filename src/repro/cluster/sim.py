@@ -81,8 +81,8 @@ class ClusterSim:
         if workload.kind not in ("poisson", "trace"):
             raise ConfigError("the cluster router is open-loop; workload "
                               "kind must be poisson or trace")
-        if not slo > 0:
-            raise ConfigError("slo must be positive")
+        if not 0 < slo < float("inf"):
+            raise ConfigError("slo must be positive and finite")
         self.machine = machine
         self.sim = machine.sim
         self.cfg = config

@@ -71,6 +71,44 @@ class _TrainItem:
     aliases: np.ndarray
 
 
+def size_pipeline(machine: Machine, dataset: DiskDataset,
+                  train_cfg: TrainConfig, config: GNNDriveConfig,
+                  fanouts, dims) -> Tuple[int, int, int, int]:
+    """GNNDrive's buffer sizing for one pipeline on *machine* as it
+    stands: ``(Mb, activation reserve, io_size, Ne)``.
+
+    Mb (max nodes per mini-batch) and the device bytes reserved for one
+    batch's training activations come from trial samples.  The
+    extractor count Ne adapts to host memory (§4.2): "the staging
+    buffer can be expanded or shrunk by adjusting the number of
+    extractors, which we decide with regard to the volume of
+    topological data and the capacity of available host memory" — the
+    staging buffer stays small enough that the topology index remains
+    cacheable.
+    """
+    observed, observed_act = probe_batch_shape(
+        dataset, fanouts, train_cfg.batch_size, dims=dims,
+        seed=train_cfg.seed)
+    max_batch_nodes = int(observed * config.batch_nodes_margin)
+    io_size = dataset.features.io_size(config.direct_io)
+    if config.gpu_direct:
+        # GDS needs a 4 KiB access granularity (§4.4): small records
+        # force redundant loading.
+        io_size = max(4096, ((io_size + 4095) // 4096) * 4096)
+    host = machine.host
+    topo_room = dataset.topo_nbytes() + dataset.indptr_nbytes()
+    staging_budget = max(
+        max_batch_nodes * io_size,                # >= one extractor
+        host.capacity - topo_room - host.pinned_bytes
+        - (host.capacity // 8),                   # breathing room
+    )
+    num_extractors = max(1, min(config.num_extractors,
+                                staging_budget // (max_batch_nodes
+                                                   * io_size)))
+    return (max_batch_nodes, int(observed_act * config.batch_nodes_margin),
+            io_size, num_extractors)
+
+
 class GNNDrive(TrainingSystem):
     """Single-process GNNDrive (GPU- or CPU-based training)."""
 
@@ -99,51 +137,19 @@ class GNNDrive(TrainingSystem):
             # the base class pinned a private copy — return it.
             m.host.free(self._indptr_alloc)
 
-        # ------------------------------------------------------------
-        # Size Mb (max nodes per mini-batch) and the per-batch
-        # activation footprint from trial samples.
-        # ------------------------------------------------------------
-        observed, observed_act = probe_batch_shape(
-            dataset, self.fanouts, train_cfg.batch_size, dims=self.dims,
-            seed=train_cfg.seed)
-        self.max_batch_nodes = int(observed * config.batch_nodes_margin)
-        #: Device bytes reserved for per-batch training activations.
-        self._probe_act_bytes = int(observed_act * config.batch_nodes_margin)
-
-        io_size = dataset.features.io_size(config.direct_io)
-        if config.gpu_direct:
-            # GDS needs a 4 KiB access granularity (§4.4): small records
-            # force redundant loading.
-            io_size = max(4096, ((io_size + 4095) // 4096) * 4096)
+        (self.max_batch_nodes, self._probe_act_bytes, io_size,
+         num_extractors) = size_pipeline(m, dataset, train_cfg, config,
+                                         self.fanouts, self.dims)
         self.io_size = io_size
         record_bytes = dataset.features.record_nbytes
-
-        # ------------------------------------------------------------
-        # Adaptive extractor count (§4.2): "the staging buffer can be
-        # expanded or shrunk by adjusting the number of extractors,
-        # which we decide with regard to the volume of topological data
-        # and the capacity of available host memory."  Keep the staging
-        # buffer small enough that the topology index stays cacheable.
-        # ------------------------------------------------------------
-        topo_room = dataset.topo_nbytes() + dataset.indptr_nbytes()
         if shared is not None and shared.staging is not None:
-            # The group already sized the shared staging from its
-            # probe's adapted extractor count; recomputing from
-            # pinned_bytes here would double-count the shared buffer
-            # and under-provision this worker relative to the
-            # equivalent single-process system.
-            self.num_extractors = max(
-                1, shared.staging.portion_capacity
-                // (self.max_batch_nodes * io_size))
-        else:
-            staging_budget = max(
-                self.max_batch_nodes * io_size,      # >= one extractor
-                m.host.capacity - topo_room - m.host.pinned_bytes
-                - (m.host.capacity // 8),            # breathing room
-            )
-            self.num_extractors = max(1, min(
-                config.num_extractors,
-                staging_budget // (self.max_batch_nodes * io_size)))
+            # The group sized the shared staging with this same rule;
+            # re-deriving from pinned_bytes here would double-count the
+            # shared buffer and under-provision this worker relative to
+            # the equivalent single-process system.
+            num_extractors = max(1, shared.staging.portion_capacity
+                                 // (self.max_batch_nodes * io_size))
+        self.num_extractors = num_extractors
 
         # ------------------------------------------------------------
         # Feature buffer placement and adaptive sizing (§4.2).

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.base import TrainConfig, TrainingSystem
 from repro.core.config import GNNDriveConfig
-from repro.core.driver import GNNDrive
+from repro.core.driver import GNNDrive, size_pipeline
 from repro.core.staging import StagingBuffer
 from repro.graph.datasets import DiskDataset
 from repro.machine import Machine
@@ -116,27 +116,11 @@ class MultiGPUGNNDrive(TrainingSystem):
         self.num_workers = num_workers
         self.name = f"gnndrive-{config.device}-x{num_workers}"
 
-        # Shared resources: one staging buffer with per-worker portions,
-        # one resident indptr (the base class already pinned ours).
-        # The probe must size itself against the pinned state a
-        # standalone single-GPU system would see; our indptr pin would
-        # stack on top of the probe's private one and shrink its staging
-        # budget, so hand it back for the probe's lifetime.
-        machine.host.free(self._indptr_alloc)
-        probe = GNNDrive(machine, dataset, train_cfg,
-                         config.with_(device=config.device))
-        max_batch_nodes = probe.max_batch_nodes
-        io_size = probe.io_size
-        # The probe already adapted its extractor count to the staging
-        # budget; size the shared buffer from that, not the raw config —
-        # otherwise a memory-constrained multigpu run pins more staging
-        # than the equivalent single-GPU system would.
-        num_extractors = probe.num_extractors
-        probe.teardown()
-        self._release_probe(probe)
-        self._indptr_alloc = machine.host.allocate(
-            dataset.indptr_nbytes(), tag="indptr")
-
+        # Shared resources: one resident indptr (the base class pinned
+        # it) and one staging buffer with a portion per worker, each
+        # portion sized like a standalone single-GPU system's staging.
+        max_batch_nodes, _, io_size, num_extractors = size_pipeline(
+            machine, dataset, train_cfg, config, self.fanouts, self.dims)
         staging = None
         if config.device == "gpu":
             staging = StagingBuffer(
@@ -173,20 +157,6 @@ class MultiGPUGNNDrive(TrainingSystem):
             self.workers.append(worker)
         # Worker 0's model is representative (all replicas identical).
         self.model = self.workers[0].model
-
-    # ------------------------------------------------------------------
-    def _release_probe(self, probe: GNNDrive) -> None:
-        """Undo the sizing probe's allocations."""
-        m = self.machine
-        if probe.config.device == "gpu":
-            gpu = m.gpus[probe.config.gpu_id]
-            gpu.free(probe.num_feature_slots
-                     * self.dataset.features.record_nbytes,
-                     tag="feature-buffer")
-            gpu.free(probe.model_state_bytes(), tag="model")
-            probe.staging.close()
-        else:
-            m.host.free(probe._fb_alloc)
 
     # ------------------------------------------------------------------
     def _replicas(self) -> List[GNNDrive]:

@@ -67,30 +67,32 @@ class EpochStats:
         return self.reused_nodes / total if total else 0.0
 
 
-@dataclass
-class ServeStats:
-    """One serving run's outcome: latency tails, goodput, shed counters.
+@dataclass(kw_only=True)
+class RequestStats:
+    """One request-serving run's outcome: latency tails, goodput, shed
+    counters — the part the serving plane and the cluster share.
 
     The accounting identity ``offered == completed + shed + timed_out +
     failed`` is a hard invariant — :meth:`check_accounting` raises on
-    violation and the CI serve smoke job gates on it.  ``failed`` counts
-    requests abandoned by the resilience plane after the failover budget
-    ran out (zero without replica faults); exactly-once completion means
-    no request is ever counted in two terminal states.  *Goodput* counts
-    only completed requests that met the SLO; *throughput* counts all
-    completions.  Latencies are arrival-to-completion seconds.
+    violation and the CI serve and cluster smoke jobs gate on it.
+    Exactly-once completion means no request is ever counted in two
+    terminal states.  *Goodput* counts only completed requests that met
+    the SLO; *throughput* counts all completions.  Latencies are
+    arrival-to-completion seconds, each plane computing its own
+    quantiles.
     """
 
-    backend: str
     offered: int
     completed: int
     shed: int
     timed_out: int
+    #: Requests abandoned after failover ran out (zero without
+    #: replica or shard faults).
+    failed: int = 0
     slo: float
     slo_miss: int
     duration: float
     offered_rate: float
-    failed: int = 0
     latency_p50: float = float("nan")
     latency_p95: float = float("nan")
     latency_p99: float = float("nan")
@@ -98,14 +100,11 @@ class ServeStats:
     latency_max: float = float("nan")
     num_batches: int = 0
     mean_batch_size: float = 0.0
-    bytes_read: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    reused_nodes: int = 0
-    loaded_nodes: int = 0
-    extra: Dict[str, float] = field(default_factory=dict)
     #: Fault-ledger movement during the run (empty without a plan).
     faults: Dict[str, float] = field(default_factory=dict)
+
+    #: The plane named in accounting errors.
+    PLANE = "request"
 
     @property
     def throughput(self) -> float:
@@ -121,31 +120,48 @@ class ServeStats:
 
     @property
     def slo_attainment(self) -> float:
-        """Fraction of *offered* requests that completed within SLO
-        (shed and timed-out requests count against attainment)."""
+        """Fraction of *offered* requests completed within SLO (shed,
+        timed-out and failed requests count against attainment)."""
         if self.offered == 0:
             return 1.0
         return (self.completed - self.slo_miss) / self.offered
 
     def check_accounting(self) -> None:
         """Raise ``ValueError`` on any broken accounting invariant."""
+        plane = self.PLANE
         if self.offered != (self.completed + self.shed + self.timed_out
                             + self.failed):
             raise ValueError(
-                f"serve accounting: offered={self.offered} != "
+                f"{plane} accounting: offered={self.offered} != "
                 f"completed={self.completed} + shed={self.shed} + "
                 f"timed_out={self.timed_out} + failed={self.failed}")
         if self.slo_miss > self.completed:
             raise ValueError(
-                f"serve accounting: slo_miss={self.slo_miss} exceeds "
+                f"{plane} accounting: slo_miss={self.slo_miss} exceeds "
                 f"completed={self.completed}")
-        if min(self.offered, self.completed, self.shed,
-               self.timed_out, self.failed, self.slo_miss) < 0:
-            raise ValueError("serve accounting: negative counter")
+        if min(self.offered, self.completed, self.shed, self.timed_out,
+               self.failed, self.slo_miss) < 0:
+            raise ValueError(f"{plane} accounting: negative counter")
         if self.goodput > self.throughput + 1e-12:
             raise ValueError(
-                f"serve accounting: goodput={self.goodput} exceeds "
+                f"{plane} accounting: goodput={self.goodput} exceeds "
                 f"throughput={self.throughput}")
+
+
+@dataclass(kw_only=True)
+class ServeStats(RequestStats):
+    """One serving run's outcome: the request record plus the
+    extraction backend's I/O and feature-buffer counters."""
+
+    backend: str
+    bytes_read: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
+    reused_nodes: int = 0
+    loaded_nodes: int = 0
+    extra: Dict[str, float] = field(default_factory=dict)
+
+    PLANE = "serve"
 
 
 def mean_epoch_time(stats: List[EpochStats],

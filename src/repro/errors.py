@@ -8,6 +8,9 @@ same way Table 2 and Figures 9/10/14 do.
 
 from __future__ import annotations
 
+import math
+from dataclasses import fields
+
 
 class ReproError(Exception):
     """Base class for all library-specific errors."""
@@ -21,6 +24,15 @@ class ConfigError(ReproError, ValueError):
     type lets fault plans and machine specs report the offending field
     by name instead of surfacing as NaN service times downstream.
     """
+
+
+def require_finite_floats(record) -> None:
+    """Raise :class:`ConfigError` naming the first float field of the
+    dataclass *record* that is NaN or infinite."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
 class SimulationError(ReproError):

@@ -35,12 +35,7 @@ from repro.oracle.golden import (
 )
 from repro.oracle.oracles import ORACLES, Violation, check_scenario
 from repro.oracle.sampling import sample_scenarios
-from repro.oracle.scenario import (
-    DEFAULT_MATRIX,
-    Scenario,
-    ScenarioRunner,
-    SystemRun,
-)
+from repro.oracle.scenario import DEFAULT_MATRIX, Scenario, ScenarioRunner
 
 __all__ = [
     "DEFAULT_MATRIX",
@@ -51,7 +46,6 @@ __all__ = [
     "ORACLES",
     "Scenario",
     "ScenarioRunner",
-    "SystemRun",
     "Violation",
     "check_golden",
     "check_scenario",

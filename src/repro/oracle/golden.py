@@ -76,8 +76,6 @@ def _run_all(scenario: Scenario) -> Dict[str, object]:
     runs = {}
     for system in GOLDEN_SYSTEMS:
         if system == "serve":
-            # ServeRun / ClusterRun duck-type the SystemRun fields used
-            # here (.ok, .digest, .trace, .error).
             runs[system] = run_serve_scenario(GOLDEN_SERVE_SCENARIO)
         elif system == "cluster":
             runs[system] = run_cluster_scenario(GOLDEN_CLUSTER_SCENARIO)

@@ -65,6 +65,16 @@ def _stats_repr(stats) -> List[str]:
     return [repr(asdict(s)) for s in stats]
 
 
+def _warm(run) -> List:
+    """A training run's stats past the cold first epoch (cache warm-up
+    excluded)."""
+    return run.stats[1:] if len(run.stats) > 1 else run.stats
+
+
+def _total_time(run) -> float:
+    return sum(s.epoch_time for s in run.stats)
+
+
 # ----------------------------------------------------------------------
 # Differential oracles
 # ----------------------------------------------------------------------
@@ -109,9 +119,9 @@ class FeatureBytesVsPyGPlus(Oracle):
             # One epoch is all cold cache; "warm" volume is undefined.
             return False
         hits = sum(s.extra.get("feat_cache_hits", 0)
-                   for s in pyg.warm_stats())
+                   for s in _warm(pyg))
         misses = sum(s.extra.get("feat_cache_misses", 0)
-                     for s in pyg.warm_stats())
+                     for s in _warm(pyg))
         if misses == 0:
             return False
         return misses / (hits + misses) >= self.MIN_WARM_MISS_RATE
@@ -122,9 +132,9 @@ class FeatureBytesVsPyGPlus(Oracle):
         if not (pyg.ok and gnn.ok):
             return []
         ours = sum(s.extra.get("feat_bytes_read", 0)
-                   for s in gnn.warm_stats())
+                   for s in _warm(gnn))
         theirs = sum(s.extra.get("feat_bytes_read", 0)
-                     for s in pyg.warm_stats())
+                     for s in _warm(pyg))
         if ours > theirs:
             return [self._violation(
                 runner, f"gnndrive-gpu read {ours} feature bytes "
@@ -314,8 +324,8 @@ class HostMemoryTimeMonotone(Oracle):
             big = runner.run(system, host_gb=base_gb * 2)
             if not (small.ok and big.ok):
                 continue
-            t_small = small.total_epoch_time()
-            t_big = big.total_epoch_time()
+            t_small = _total_time(small)
+            t_big = _total_time(big)
             if t_big > t_small * (1 + self.TOLERANCE):
                 out.append(self._violation(
                     runner, f"{system}: epoch time rose "
@@ -349,8 +359,8 @@ class SSDChannelsTimeMonotone(Oracle):
             many = runner.run(system, channels=base * 2)
             if not (few.ok and many.ok):
                 continue
-            t_few = few.total_epoch_time()
-            t_many = many.total_epoch_time()
+            t_few = _total_time(few)
+            t_many = _total_time(many)
             if t_many > t_few * (1 + self.TOLERANCE):
                 out.append(self._violation(
                     runner, f"{system}: epoch time rose "
@@ -394,44 +404,37 @@ class EpochPrefixStable(Oracle):
         return out
 
 
-class ServeLoadP99Monotone(Oracle):
-    """Halving offered load never raises the serving p99 (async).
+class _LoadP99Monotone(Oracle):
+    """Halving offered load never raises a request plane's p99.
 
-    The serving-plane analogue of the resource-monotonicity laws: less
-    offered load means less queueing, so tail latency cannot rise.  Two
-    deliberate choices keep the law sound: ``max_wait = 0`` (a positive
-    straggler window legitimately *raises* low-load latency — the
-    batcher idles waiting for company), and a huge SLO so no request is
-    deadline-dropped (drops would censor the tail out of the sample).
+    The request-plane analogue of the resource-monotonicity laws: less
+    offered load means less queueing, so tail latency cannot rise.  The
+    probe uses a huge SLO so no request is deadline-dropped (drops
+    would censor the tail out of the sample), and is gated off under
+    chaos: fault windows are wall-clock anchored, so a different arrival
+    pattern shifts work into/out of them and legitimately breaks the
+    law.  A subclass supplies the probe scenario and its run function.
     """
 
-    name = "serve-load-p99-monotone"
     kind = "metamorphic"
-    description = "async serving p99 non-increasing when load halves"
-    RATE = 400.0
-    NUM_REQUESTS = 40
     #: Same scheduling-jitter argument as the time-monotone oracles:
-    #: different arrival timestamps reorder ring submissions and buffer
-    #: reuse, wobbling individual latencies without a real regression.
+    #: different arrival timestamps reorder batches and buffer reuse,
+    #: wobbling individual latencies without a real regression.
     TOLERANCE = 0.05
+    #: Names the plane in a violation ("" for serving).
+    PREFIX = ""
 
     def applicable(self, runner: ScenarioRunner) -> bool:
-        # Fault windows are wall-clock anchored; a different arrival
-        # pattern shifts work into/out of them (same gate as the other
-        # metamorphic laws).
         return runner.scenario.fault_plan == "none"
 
+    def _probe(self, sc: Scenario):
+        """``(run_function, base_scenario)`` at ``RATE``."""
+        raise NotImplementedError
+
     def check(self, runner: ScenarioRunner) -> List[Violation]:
-        from repro.serve import ServeScenario, run_serve_scenario
-        sc = runner.scenario
-        base = ServeScenario(
-            name=f"{sc.name}-serve", dataset=sc.dataset,
-            dataset_scale=sc.dataset_scale, host_gb=sc.host_gb,
-            backend="async", kind="poisson", rate=self.RATE,
-            num_requests=self.NUM_REQUESTS, slo=10.0, max_wait=0.0,
-            model_kind=sc.model_kind, seed=sc.seed)
-        high = run_serve_scenario(base)
-        low = run_serve_scenario(base.with_(rate=self.RATE / 2))
+        run, base = self._probe(runner.scenario)
+        high = run(base)
+        low = run(base.with_(rate=self.RATE / 2))
         if not (high.ok and low.ok):
             return []
         p_high = high.stats.latency_p99
@@ -440,10 +443,33 @@ class ServeLoadP99Monotone(Oracle):
             return []
         if p_low > p_high * (1 + self.TOLERANCE):
             return [self._violation(
-                runner, f"p99 rose {p_high:.6g}s -> {p_low:.6g}s when "
-                        f"offered load halved ({self.RATE:g} -> "
-                        f"{self.RATE / 2:g} req/s)")]
+                runner, f"{self.PREFIX}p99 rose {p_high:.6g}s -> "
+                        f"{p_low:.6g}s when offered load halved "
+                        f"({self.RATE:g} -> {self.RATE / 2:g} req/s)")]
         return []
+
+
+class ServeLoadP99Monotone(_LoadP99Monotone):
+    """Halving offered load never raises the serving p99 (async).
+
+    ``max_wait = 0`` keeps the law sound: a positive straggler window
+    legitimately *raises* low-load latency — the batcher idles waiting
+    for company.
+    """
+
+    name = "serve-load-p99-monotone"
+    description = "async serving p99 non-increasing when load halves"
+    RATE = 400.0
+    NUM_REQUESTS = 40
+
+    def _probe(self, sc: Scenario):
+        from repro.serve import ServeScenario, run_serve_scenario
+        return run_serve_scenario, ServeScenario(
+            name=f"{sc.name}-serve", dataset=sc.dataset,
+            dataset_scale=sc.dataset_scale, host_gb=sc.host_gb,
+            backend="async", kind="poisson", rate=self.RATE,
+            num_requests=self.NUM_REQUESTS, slo=10.0, max_wait=0.0,
+            model_kind=sc.model_kind, seed=sc.seed)
 
 
 class ReplicaChaosBounded(Oracle):
@@ -505,52 +531,23 @@ class ReplicaChaosBounded(Oracle):
         return out
 
 
-class ClusterLoadP99Monotone(Oracle):
-    """Halving offered load never raises the cluster p99.
-
-    The cluster analogue of :class:`ServeLoadP99Monotone`: less offered
-    load means less shard queueing, so tail latency cannot rise.  The
-    probe uses a huge SLO (no deadline drops censoring the tail) and is
-    gated off under chaos — ``shard_down``/``shard_slow`` windows are
-    wall-clock anchored, so a different arrival pattern shifts work
-    into/out of them and legitimately breaks the law.
-    """
+class ClusterLoadP99Monotone(_LoadP99Monotone):
+    """Halving offered load never raises the cluster p99 (less shard
+    queueing)."""
 
     name = "cluster-load-p99-monotone"
-    kind = "metamorphic"
     description = "cluster p99 non-increasing when offered load halves"
     RATE = 2000.0
     NUM_REQUESTS = 200
-    #: Same scheduling-jitter argument as ``ServeLoadP99Monotone``:
-    #: different arrival timestamps reorder shard micro-batches,
-    #: wobbling individual latencies without a real regression.
-    TOLERANCE = 0.05
+    PREFIX = "cluster "
 
-    def applicable(self, runner: ScenarioRunner) -> bool:
-        return runner.scenario.fault_plan == "none"
-
-    def check(self, runner: ScenarioRunner) -> List[Violation]:
+    def _probe(self, sc: Scenario):
         from repro.cluster import ClusterScenario, run_cluster_scenario
-        sc = runner.scenario
-        base = ClusterScenario(
+        return run_cluster_scenario, ClusterScenario(
             name=f"{sc.name}-cluster", dataset=sc.dataset,
             dataset_scale=sc.dataset_scale, host_gb=sc.host_gb,
             rate=self.RATE, num_requests=self.NUM_REQUESTS,
             slo=10.0, fault_plan="none", seed=sc.seed)
-        high = run_cluster_scenario(base)
-        low = run_cluster_scenario(base.with_(rate=self.RATE / 2))
-        if not (high.ok and low.ok):
-            return []
-        p_high = high.stats.latency_p99
-        p_low = low.stats.latency_p99
-        if np.isnan(p_high) or np.isnan(p_low):
-            return []
-        if p_low > p_high * (1 + self.TOLERANCE):
-            return [self._violation(
-                runner, f"cluster p99 rose {p_high:.6g}s -> {p_low:.6g}s "
-                        f"when offered load halved ({self.RATE:g} -> "
-                        f"{self.RATE / 2:g} req/s)")]
-        return []
 
 
 class SanitizerClean(Oracle):

@@ -10,67 +10,44 @@ sharing a baseline run pay for it once.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Tuple
 
-from repro.bench.runner import get_dataset, run_system
+from repro.bench.runner import build_system, get_dataset
 from repro.core.base import TrainConfig
-from repro.faults import EMPTY_PLAN, default_chaos_plan
-from repro.machine import DEFAULT_SCALE, MachineSpec
+from repro.errors import ConfigError
+from repro.machine import Machine, MachineSpec
+from repro.scenario import ScenarioBase, ScenarioRun, run_sanitized
 from repro.storage import PM883, S3510
 
-#: Systems the oracle matrix sweeps (the five paper systems; the
-#: multigpu wrapper is exercised by the one-worker equivalence oracle).
-ORACLE_SYSTEMS = ("gnndrive-gpu", "gnndrive-cpu", "pyg+", "ginex",
-                  "mariusgnn")
-
 _SSD_PRESETS = {"PM883": PM883, "S3510": S3510}
-_FAULT_PLANS = ("none", "empty", "chaos")
 
 
 @dataclass(frozen=True)
-class Scenario:
-    """One point of the scenario space, JSON round-trippable."""
+class Scenario(ScenarioBase):
+    """One point of the training scenario space, JSON round-trippable."""
 
-    name: str
-    dataset: str = "tiny"
-    dataset_scale: float = 1.0
-    host_gb: float = 32.0
     epochs: int = 2
     batch_size: int = 50
     model_kind: str = "sage"
     ssd: str = "PM883"
     #: Override the preset's channel count (None keeps the preset's).
     ssd_channels: Optional[int] = None
-    #: "none" | "empty" | "chaos" (the default deterministic chaos plan).
-    fault_plan: str = "none"
-    seed: int = 0
+
+    #: "chaos" is the default deterministic chaos plan.
+    FAULT_PLANS = ("none", "empty", "chaos")
 
     def __post_init__(self):
+        super().__post_init__()
         if self.ssd not in _SSD_PRESETS:
-            raise ValueError(f"unknown SSD preset {self.ssd!r}; "
-                             f"known: {sorted(_SSD_PRESETS)}")
-        if self.fault_plan not in _FAULT_PLANS:
-            raise ValueError(f"unknown fault plan {self.fault_plan!r}; "
-                             f"known: {_FAULT_PLANS}")
+            raise ConfigError(f"unknown SSD preset {self.ssd!r}; "
+                              f"known: {sorted(_SSD_PRESETS)}")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not self.host_gb > 0:
-            raise ValueError("host_gb must be positive")
-        if not 0 < self.dataset_scale <= 1.0:
-            raise ValueError("dataset_scale must be in (0, 1]")
+            raise ConfigError("batch_size must be >= 1")
         if self.ssd_channels is not None and self.ssd_channels < 1:
-            raise ValueError("ssd_channels must be >= 1")
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: Dict) -> "Scenario":
-        return Scenario(**d)
+            raise ConfigError("ssd_channels must be >= 1")
 
     # ------------------------------------------------------------------
     def train_config(self) -> TrainConfig:
@@ -84,52 +61,12 @@ class Scenario:
             spec = replace(spec, channels=channels)
         return spec
 
-    def machine_spec(self, host_gb: Optional[float] = None,
+    def machine_spec(self, races: bool = False,
+                     host_gb: Optional[float] = None,
                      channels: Optional[int] = None,
-                     num_gpus: int = 1,
-                     races: bool = False) -> MachineSpec:
-        return MachineSpec.paper_scaled(
-            host_gb=host_gb if host_gb is not None else self.host_gb,
-            scale=DEFAULT_SCALE * self.dataset_scale,
-            num_gpus=num_gpus,
-            ssd=self.ssd_spec(channels),
-            sanitize=True, sanitize_trace=True, sanitize_races=races)
-
-    def resolve_fault_plan(self):
-        if self.fault_plan == "empty":
-            return EMPTY_PLAN
-        if self.fault_plan == "chaos":
-            return default_chaos_plan()
-        return None
-
-
-@dataclass
-class SystemRun:
-    """One system executed under a scenario (or a perturbation of it)."""
-
-    system: str
-    status: str                   # 'ok' | 'OOM' | 'OOT'
-    stats: List                   # List[EpochStats] when ok
-    digest: str = ""
-    trace: Optional[List[Tuple]] = None
-    findings: List[str] = None
-    race_report: Optional[dict] = None
-    error: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-    @property
-    def clean(self) -> bool:
-        return not self.findings
-
-    def total_epoch_time(self) -> float:
-        return sum(s.epoch_time for s in self.stats)
-
-    def warm_stats(self) -> List:
-        """Stats past the cold first epoch (cache warm-up excluded)."""
-        return self.stats[1:] if len(self.stats) > 1 else self.stats
+                     num_gpus: int = 1) -> MachineSpec:
+        return super().machine_spec(races, host_gb, num_gpus=num_gpus,
+                                    ssd=self.ssd_spec(channels))
 
 
 class ScenarioRunner:
@@ -143,7 +80,7 @@ class ScenarioRunner:
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self._cache: Dict[Tuple, SystemRun] = {}
+        self._cache: Dict[Tuple, ScenarioRun] = {}
 
     def run(self, system: str,
             host_gb: Optional[float] = None,
@@ -151,7 +88,7 @@ class ScenarioRunner:
             epochs: Optional[int] = None,
             fault_plan: Optional[str] = None,
             num_workers: int = 1,
-            races: bool = False) -> SystemRun:
+            races: bool = False) -> ScenarioRun:
         key = (system, host_gb, channels, epochs, fault_plan, num_workers,
                races)
         if key not in self._cache:
@@ -161,36 +98,24 @@ class ScenarioRunner:
         return self._cache[key]
 
     def _execute(self, system, host_gb, channels, epochs, fault_plan,
-                 num_workers, races=False) -> SystemRun:
+                 num_workers, races=False) -> ScenarioRun:
         sc = self.scenario
-        plan_name = fault_plan if fault_plan is not None else sc.fault_plan
-        plan = replace(sc, fault_plan=plan_name).resolve_fault_plan()
+        if fault_plan is not None:
+            sc = sc.with_(fault_plan=fault_plan)
         dataset = get_dataset(sc.dataset, scale=sc.dataset_scale,
                               seed=sc.seed)
-        res = run_system(
-            system, dataset, sc.train_config(),
-            epochs=epochs if epochs is not None else sc.epochs,
-            warmup_epochs=0,
-            num_workers=num_workers,
-            machine_spec=sc.machine_spec(host_gb=host_gb, channels=channels,
-                                         num_gpus=max(1, num_workers),
-                                         races=races),
-            fault_plan=plan,
-            keep_machine=True)
-        san = res.machine.sanitizer if res.machine is not None else None
-        race_report = None
-        if san is not None and san.races is not None:
-            san.races.finalize()
-            race_report = san.races.report_dict()
-        return SystemRun(
-            system=system,
-            status=res.status,
-            stats=list(res.stats),
-            digest=san.trace_digest() if san is not None else "",
-            trace=list(san.trace) if san is not None else None,
-            findings=[f.render() for f in san.findings] if san else [],
-            race_report=race_report,
-            error=res.error)
+        machine = Machine(sc.machine_spec(
+            races, host_gb, channels, num_gpus=max(1, num_workers)))
+
+        def body():
+            sut = build_system(system, machine, dataset, sc.train_config(),
+                               num_workers=num_workers)
+            stats = sut.run_epochs(epochs if epochs is not None
+                                   else sc.epochs)
+            sut.shutdown()
+            return list(stats)
+
+        return run_sanitized(machine, body)
 
 
 #: The default oracle matrix: an uncontended scenario (everything fits,

@@ -27,8 +27,7 @@ from repro.serve.batcher import AdmissionQueue, Job, MicroBatcher
 from repro.serve.config import ServeConfig, WorkloadSpec
 from repro.serve.resilience import (Attempt, JobQueue, ReplicaState,
                                     ResiliencePlane)
-from repro.serve.scenario import (ServeRun, ServeScenario,
-                                  run_serve_scenario)
+from repro.serve.scenario import ServeScenario, run_serve_scenario
 from repro.serve.server import InferenceServer
 from repro.serve.workload import (Request, build_requests,
                                   request_trace_digest)
@@ -45,7 +44,6 @@ __all__ = [
     "Request",
     "ResiliencePlane",
     "ServeConfig",
-    "ServeRun",
     "ServeScenario",
     "SyncServeBackend",
     "WorkloadSpec",

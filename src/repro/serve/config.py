@@ -8,24 +8,15 @@ JSON round-trippable and memoisable, mirroring
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, require_finite_floats
 
 _WORKLOAD_KINDS = ("poisson", "trace", "closed")
 _POPULARITIES = ("uniform", "zipf")
 _RATE_SHAPES = ("flat", "diurnal", "flash")
 _BACKENDS = ("async", "sync")
-
-
-def require_finite_floats(record) -> None:
-    """Raise :class:`ConfigError` naming the first float field of the
-    dataclass *record* that is NaN or infinite."""
-    for f in fields(record):
-        value = getattr(record, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

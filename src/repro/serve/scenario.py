@@ -9,28 +9,19 @@ exactly like training runs.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.core.base import TrainConfig
-from repro.errors import (OutOfMemoryError, OutOfTimeError,
-                          SimulationError)
-from repro.faults import (EMPTY_PLAN, default_chaos_plan,
-                          default_replica_chaos_plan)
-from repro.machine import DEFAULT_SCALE, Machine, MachineSpec
+from repro.machine import Machine, MachineSpec
+from repro.scenario import ScenarioBase, ScenarioRun, run_sanitized
 from repro.serve.config import ServeConfig, WorkloadSpec
-
-_FAULT_PLANS = ("none", "empty", "chaos", "replica-chaos")
 
 
 @dataclass(frozen=True)
-class ServeScenario:
+class ServeScenario(ScenarioBase):
     """One point of the serving configuration space."""
 
-    name: str
-    dataset: str = "tiny"
-    dataset_scale: float = 1.0
-    host_gb: float = 32.0
     backend: str = "async"
     kind: str = "poisson"
     rate: float = 200.0
@@ -42,7 +33,6 @@ class ServeScenario:
     num_replicas: int = 1
     queue_capacity: int = 64
     model_kind: str = "sage"
-    fault_plan: str = "none"
     #: Path to a FaultPlan JSON file (``repro serve --faults``); mutually
     #: exclusive with a non-"none" ``fault_plan`` preset.
     fault_plan_file: Optional[str] = None
@@ -50,33 +40,14 @@ class ServeScenario:
     #: i.e. under a ``replica-chaos`` plan); the chaos-serve bench flips
     #: this to measure the hedging p99 win on an identical plan/seed.
     hedge: bool = True
-    seed: int = 0
+
+    FAULT_PLANS = ("none", "empty", "chaos", "replica-chaos")
 
     def __post_init__(self):
-        if self.fault_plan not in _FAULT_PLANS:
-            raise ValueError(f"unknown fault plan {self.fault_plan!r}; "
-                             f"known: {_FAULT_PLANS}")
-        if self.fault_plan_file is not None and self.fault_plan != "none":
-            raise ValueError("fault_plan_file and fault_plan are mutually "
-                             "exclusive; pick one")
-        if not 0 < self.dataset_scale <= 1.0:
-            raise ValueError("dataset_scale must be in (0, 1]")
-        if not self.host_gb > 0:
-            raise ValueError("host_gb must be positive")
+        super().__post_init__()
         # Workload/serve knobs are validated by the spec constructors.
         self.workload_spec()
         self.serve_config()
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: Dict) -> "ServeScenario":
-        return ServeScenario(**d)
-
-    def with_(self, **kw) -> "ServeScenario":
-        return replace(self, **kw)
 
     # ------------------------------------------------------------------
     def workload_spec(self) -> WorkloadSpec:
@@ -98,50 +69,11 @@ class ServeScenario:
         return TrainConfig(model_kind=self.model_kind, seed=self.seed)
 
     def machine_spec(self, races: bool = False) -> MachineSpec:
-        return MachineSpec.paper_scaled(
-            host_gb=self.host_gb,
-            scale=DEFAULT_SCALE * self.dataset_scale,
-            num_gpus=self.num_replicas,
-            sanitize=True, sanitize_trace=True, sanitize_races=races,
-            faults=self.resolve_fault_plan())
-
-    def resolve_fault_plan(self):
-        if self.fault_plan_file is not None:
-            from repro.faults import load_plan
-            return load_plan(self.fault_plan_file)
-        if self.fault_plan == "empty":
-            return EMPTY_PLAN
-        if self.fault_plan == "chaos":
-            return default_chaos_plan()
-        if self.fault_plan == "replica-chaos":
-            return default_replica_chaos_plan()
-        return None
-
-
-@dataclass
-class ServeRun:
-    """One serving run executed under a scenario."""
-
-    scenario: ServeScenario
-    status: str                    # 'ok' | 'OOM' | 'OOT'
-    stats: Optional[object] = None  # ServeStats when ok
-    digest: str = ""
-    trace: Optional[List[Tuple]] = None
-    findings: List[str] = None
-    race_report: Optional[Dict] = None
-    error: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-    @property
-    def clean(self) -> bool:
-        return not self.findings
+        return super().machine_spec(races, num_gpus=self.num_replicas)
 
 
 def run_serve_scenario(scenario: ServeScenario,
-                       races: bool = False) -> ServeRun:
+                       races: bool = False) -> ScenarioRun:
     """Execute *scenario* sanitized with full tracing.
 
     *races* additionally arms the intra-cohort race detector; the run's
@@ -153,38 +85,15 @@ def run_serve_scenario(scenario: ServeScenario,
     dataset = get_dataset(scenario.dataset, scale=scenario.dataset_scale,
                           seed=scenario.seed)
     machine = Machine(scenario.machine_spec(races=races))
-    server = None
-    try:
+
+    def body():
         server = InferenceServer(machine, dataset,
                                  config=scenario.serve_config(),
                                  workload=scenario.workload_spec(),
                                  train_cfg=scenario.train_config())
-        stats = server.run()
-        status, error = "ok", ""
-    except OutOfMemoryError as exc:
-        stats, status, error = None, "OOM", str(exc)
-    except OutOfTimeError as exc:
-        stats, status, error = None, "OOT", str(exc)
-    finally:
-        if server is not None:
-            server.teardown()
-    san = machine.sanitizer
-    race_report = None
-    if san is not None and san.races is not None:
-        san.races.finalize()
-        race_report = san.races.report_dict()
-    findings = [f.render() for f in san.findings] if san else []
-    if status == "ok" and machine.faults is not None:
         try:
-            machine.faults.ledger.check_invariants()
-        except SimulationError as exc:
-            findings.append(f"fault-ledger: {exc}")
-    return ServeRun(
-        scenario=scenario,
-        status=status,
-        stats=stats,
-        digest=san.trace_digest() if san is not None else "",
-        trace=list(san.trace) if san is not None else None,
-        findings=findings,
-        race_report=race_report,
-        error=error)
+            return server.run()
+        finally:
+            server.teardown()
+
+    return run_sanitized(machine, body)

@@ -140,8 +140,6 @@ def test_ginex_feature_cache_hits_accumulate():
     m, s = build()
     stats = s.run_epochs(2)
     assert stats[-1].reused_nodes > 0  # feature-cache hits
-    # loaded + reused covers every sampled node.
-    assert stats[-1].loaded_nodes >= 0
 
 
 def test_ginex_reuse_counters_are_per_epoch(monkeypatch):

@@ -7,7 +7,9 @@ import pytest
 
 from repro.oracle import (GOLDEN_DIR, GOLDEN_SCENARIO, GOLDEN_SYSTEMS,
                           check_golden, golden_digests)
-from repro.oracle.golden import _trace_name, first_divergence_vs_golden
+from repro.oracle.golden import (GOLDEN_CLUSTER_SCENARIO,
+                                 GOLDEN_SERVE_SCENARIO, _trace_name,
+                                 first_divergence_vs_golden)
 from repro.oracle.scenario import ScenarioRunner
 
 
@@ -18,7 +20,10 @@ def test_golden_files_are_committed():
         path = os.path.join(GOLDEN_DIR, _trace_name(system))
         assert os.path.exists(path), f"missing golden trace for {system}"
     with open(os.path.join(GOLDEN_DIR, "digests.json")) as fh:
-        assert json.load(fh)["scenario"] == GOLDEN_SCENARIO.to_dict()
+        pinned = json.load(fh)
+    assert pinned["scenario"] == GOLDEN_SCENARIO.to_dict()
+    assert pinned["serve_scenario"] == GOLDEN_SERVE_SCENARIO.to_dict()
+    assert pinned["cluster_scenario"] == GOLDEN_CLUSTER_SCENARIO.to_dict()
 
 
 @pytest.mark.oracle
