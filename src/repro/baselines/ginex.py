@@ -50,6 +50,9 @@ WORKSPACE_BYTES_PER_ACCESS = 8
 #: cannot pin the current batch — the mechanism behind its small-memory
 #: OOM failures (Fig. 9's 8 GB column).
 MIN_CACHE_WORKING_SET_FACTOR = 1.1
+#: Reads in flight while initialising the feature cache and loading
+#: its misses.
+IO_THREADS = 32
 
 
 @dataclass(frozen=True)
@@ -59,14 +62,13 @@ class GinexConfig:
     neighbor_cache_bytes: int = int(6 * GB * DEFAULT_SCALE)
     feature_cache_bytes: int = int(24 * GB * DEFAULT_SCALE)
     superbatch_size: int = 150
-    io_threads: int = 32
     sample_workers: int = 4
 
     def __post_init__(self):
         if self.neighbor_cache_bytes < 0 or self.feature_cache_bytes <= 0:
             raise ValueError("cache sizes must be positive")
-        if self.superbatch_size < 1 or self.io_threads < 1:
-            raise ValueError("superbatch size and io threads must be >= 1")
+        if self.superbatch_size < 1:
+            raise ValueError("superbatch size must be >= 1")
         if self.sample_workers < 1:
             raise ValueError("sample_workers must be >= 1")
 
@@ -274,7 +276,7 @@ class Ginex(TrainingSystem):
         m = self.machine
         io_size = self.dataset.features.io_size(direct=False)
         sizes = np.full(len(initial), io_size, dtype=np.int64)
-        ev = m.ssd.batch_event(sizes, io_depth=self.config.io_threads,
+        ev = m.ssd.batch_event(sizes, io_depth=IO_THREADS,
                                tag=self.dataset.feat_handle.name)
         yield from m.io_wait(ev)
 
@@ -288,7 +290,7 @@ class Ginex(TrainingSystem):
         if len(misses):
             io_size = self.dataset.features.io_size(direct=False)
             sizes = np.full(len(misses), io_size, dtype=np.int64)
-            ev = m.ssd.batch_event(sizes, io_depth=self.config.io_threads,
+            ev = m.ssd.batch_event(sizes, io_depth=IO_THREADS,
                                    tag=self.dataset.feat_handle.name)
             yield from m.io_wait(ev)
         self.stat_feature_misses += len(misses)

@@ -39,6 +39,8 @@ from repro.simcore import Event
 PREP_SCRATCH_FACTOR = 0.30
 #: CPU cost per partition pair when ordering the buffer sequence.
 ORDER_COST_PER_PAIR = 2e-6
+#: Reads in flight during data preparation and partition swaps.
+IO_THREADS = 32
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,6 @@ class MariusConfig:
     num_partitions: int = 32
     #: Buffered partitions; None -> as many as host memory allows.
     buffer_partitions: Optional[int] = None
-    io_threads: int = 32
 
     def __post_init__(self):
         if self.num_partitions < 1:
@@ -149,7 +150,7 @@ class MariusGNN(TrainingSystem):
         # Partition traffic moves features (plus each partition's topology
         # slice); attribute it to the feature file for the accounting plane.
         ev = m.ssd.batch_event(np.full(nchunks, chunk, dtype=np.int64),
-                               io_depth=self.config.io_threads,
+                               io_depth=IO_THREADS,
                                tag=self.dataset.feat_handle.name)
         yield from m.io_wait(ev)
 
@@ -162,7 +163,7 @@ class MariusGNN(TrainingSystem):
         chunk = 1 << 16
         nchunks = max(1, total // chunk)
         ev = m.ssd.batch_event(np.full(nchunks, chunk, dtype=np.int64),
-                               io_depth=self.config.io_threads,
+                               io_depth=IO_THREADS,
                                tag=self.dataset.feat_handle.name)
         yield from m.io_wait(ev)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Generator, List
 
 from repro.core.base import TrainConfig, TrainingSystem
-from repro.core.sampling_io import page_access_with_retry, topo_access_with_retry
+from repro.core.sampling_io import fault_records, sample_step
 from repro.graph.datasets import DiskDataset
 from repro.machine import Machine
 from repro.sampling import NeighborSampler
@@ -54,6 +54,9 @@ class PyGPlus(TrainingSystem):
     """The mmap-everything baseline."""
 
     name = "pyg+"
+    #: Whether the CSC index array is pinned in host memory, so sampling
+    #: faults no topology pages (the in-memory reference).
+    topology_resident = False
 
     def __init__(self, machine: Machine, dataset: DiskDataset,
                  train_cfg: TrainConfig = TrainConfig(),
@@ -82,28 +85,15 @@ class PyGPlus(TrainingSystem):
                 return
             epoch, batch_id, seeds = item
             t0 = m.sim.now
-            sub = sampler.sample(seeds)
-            yield from self._topo_access(sub)
-            yield from m.cpu_task(m.cpu_cost.sample_compute_time(
-                sum(len(f) for f in sub.hop_frontiers), sub.total_edges()))
+            sub = yield from sample_step(m, self.dataset, sampler, seeds,
+                                         resident=self.topology_resident)
             self._stage.sample += m.sim.now - t0
             yield self.batch_q.put((epoch, batch_id, sub))
 
-    def _topo_access(self, sub: SampledSubgraph) -> Generator:
-        """mmap faults on the CSC index array, hop by hop (overridable:
-        the in-memory reference pins topology and skips this)."""
-        m = self.machine
-        for frontier in sub.hop_frontiers:
-            yield from topo_access_with_retry(
-                m, m.page_cache, self.dataset.topo_handle,
-                self.dataset.graph, frontier)
-
     def _extract_features(self, sub: SampledSubgraph) -> Generator:
         """Synchronous mmap extraction through the page cache."""
-        m = self.machine
-        handle = self.dataset.feat_handle
-        pages = m.page_cache.pages_for_records(handle, sub.all_nodes)
-        yield from page_access_with_retry(m, m.page_cache, handle, pages)
+        yield from fault_records(self.machine, self.dataset.feat_handle,
+                                 sub.all_nodes)
 
     def _main_loop(self, epoch: int, num_batches: int,
                    done_event) -> Generator:

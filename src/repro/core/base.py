@@ -70,6 +70,31 @@ class TrainConfig:
         return replace(self, **kw)
 
 
+def model_layout(dataset: DiskDataset, train_cfg: TrainConfig
+                 ) -> Tuple[Tuple[int, ...], List[int]]:
+    """``(fanouts, dims)`` of the model *train_cfg* describes on
+    *dataset*: one sampling fanout per layer, and the layer widths the
+    cost model charges.  Raises ValueError when the fanouts do not
+    match the layer count."""
+    fanouts = train_cfg.resolved_fanouts()
+    if len(fanouts) != train_cfg.num_layers:
+        raise ValueError(
+            f"fanouts {fanouts} do not match "
+            f"{train_cfg.num_layers} model layers")
+    return fanouts, ComputeCostModel.model_dims(
+        train_cfg.model_kind, dataset.dim, train_cfg.hidden_dim,
+        dataset.num_classes, train_cfg.num_layers)
+
+
+def build_model(dataset: DiskDataset, train_cfg: TrainConfig):
+    """The NumPy model *train_cfg* describes on *dataset*, initialised
+    from ``train_cfg.seed``."""
+    return make_model(
+        train_cfg.model_kind, dataset.dim, train_cfg.hidden_dim,
+        dataset.num_classes, train_cfg.num_layers, seed=train_cfg.seed,
+        **dict(train_cfg.model_kwargs))
+
+
 def probe_batch_shape(dataset: DiskDataset, fanouts, batch_size: int,
                       dims=None, seed: int = 0, trials: int = 5):
     """Empirical per-batch maxima from trial samples.
@@ -115,6 +140,9 @@ class TrainingSystem:
     #: Fig. 2's "-only" mode: epochs run the sample stage alone, report
     #: a NaN loss and skip evaluation.
     sample_only = False
+    #: False for a data-parallel group: its workers build and train the
+    #: models, and the group evaluates worker 0's.
+    owns_model = True
 
     def __init__(self, machine: Machine, dataset: DiskDataset,
                  train_cfg: TrainConfig):
@@ -126,24 +154,15 @@ class TrainingSystem:
         if dataset.topo_handle is None:
             dataset.mount(machine.catalog)
 
-        self.fanouts = train_cfg.resolved_fanouts()
-        if len(self.fanouts) != train_cfg.num_layers:
-            raise ValueError(
-                f"fanouts {self.fanouts} do not match "
-                f"{train_cfg.num_layers} model layers")
-        self.model = make_model(
-            train_cfg.model_kind, dataset.dim, train_cfg.hidden_dim,
-            dataset.num_classes, train_cfg.num_layers, seed=train_cfg.seed,
-            **dict(train_cfg.model_kwargs))
-        self.optimizer = Adam(self.model.parameters(), lr=train_cfg.lr)
+        self.fanouts, self.dims = model_layout(dataset, train_cfg)
+        if self.owns_model:
+            self.model = build_model(dataset, train_cfg)
+            self.optimizer = Adam(self.model.parameters(), lr=train_cfg.lr)
         self.plan = MinibatchPlan(
             dataset.train_idx, train_cfg.batch_size,
             self.streams.get("minibatch-shuffle"))
         self.eval_sampler = NeighborSampler(
             dataset.graph, self.fanouts, self.streams.get("eval-sampling"))
-        self.dims = ComputeCostModel.model_dims(
-            train_cfg.model_kind, dataset.dim, train_cfg.hidden_dim,
-            dataset.num_classes, train_cfg.num_layers)
         self.epoch_stats: List[EpochStats] = []
         #: Every system keeps the CSC index-pointer array resident (§5).
         self._indptr_alloc = machine.host.allocate(

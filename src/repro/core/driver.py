@@ -26,7 +26,7 @@ Sizing rules from the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Tuple
+from typing import Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from repro.core.base import (TrainConfig, TrainingSystem, activation_bytes,
                              probe_batch_shape)
 from repro.core.config import GNNDriveConfig
 from repro.core.feature_buffer import FeatureBuffer
-from repro.core.sampling_io import topo_access_with_retry
+from repro.core.sampling_io import sample_step
 from repro.core.staging import StagingBuffer
 from repro.errors import OutOfMemoryError
 from repro.faults.recovery import (recover_failed_reads,
@@ -107,6 +107,93 @@ def size_pipeline(machine: Machine, dataset: DiskDataset,
                                                    * io_size)))
     return (max_batch_nodes, int(observed_act * config.batch_nodes_margin),
             io_size, num_extractors)
+
+
+def extract_batch(machine: Machine, fb: FeatureBuffer, ring: AsyncRing,
+                  staging: Optional[StagingBuffer], portion: int,
+                  dataset: DiskDataset, io_size: int, link,
+                  nodes: np.ndarray) -> Generator:
+    """GNNDrive's asynchronous two-phase extraction of one batch (§4.2,
+    Algorithm 1) into *fb*.
+
+    Use as ``cls, aliases = yield from extract_batch(...)`` inside a
+    process: *cls* is the buffer's classification of *nodes*, *aliases*
+    their feature-buffer rows.  Reserves slots for the nodes to load
+    (waiting on the releaser while the standby list is dry) and their
+    *staging* room in *portion* (None: no staging hop), then phase 1
+    reads them through *ring* (a buffered ring goes through the page
+    cache, §4.4) with the fault-recovery ladder, and phase 2 copies each
+    node over PCIe *link* at its own load completion (None: data lands
+    where it trains).  Nodes another extractor is loading are waited for
+    at the end (Algorithm 1 line 38).  GNNDrive's extractors and the
+    serving plane's async backend both run it.
+    """
+    m = machine
+    feat_handle = dataset.feat_handle
+    record_bytes = dataset.features.record_nbytes
+    cls = fb.begin_batch(nodes)
+    # Reserve slots for the loads (blocks on the releaser when the
+    # standby list runs dry — the Ne x Mb reserve bounds it).
+    pending = cls.needs_load
+    while len(pending):
+        _, pending = fb.allocate_slots(pending)
+        if len(pending):
+            yield fb.slot_wait_event()
+    to_load = cls.needs_load
+    if staging is not None:
+        yield from reserve_staging_with_backoff(m, staging, len(to_load),
+                                                portion)
+    # SQE construction and buffer bookkeeping on a CPU core.
+    yield from m.cpu_task(PER_BATCH_COST + len(nodes) * PER_NODE_SUBMIT_COST)
+
+    if len(to_load):
+        ssd_nodes = to_load
+        if not ring.direct:
+            # Buffered alternative (§4.4): reads go through the OS page
+            # cache — resident pages are free, missed pages pollute the
+            # cache (squeezing the topology, which is exactly why the
+            # paper prefers direct I/O).
+            cache = m.page_cache
+            resident = cache.records_resident_mask(feat_handle, to_load)
+            ssd_nodes = to_load[~resident]
+            cache.warm(feat_handle,
+                       cache.pages_for_records(feat_handle, to_load))
+        # Phase 1: asynchronous loads from SSD (io_uring).
+        ring.prepare_record_reads(feat_handle, ssd_nodes, io_size=io_size)
+        t_load = ring.submit()
+        res = ring.last_res
+        dropped_nodes = np.empty(0, dtype=np.int64)
+        if res is not None and (res < 0).any():
+            t_load, dropped_nodes = yield from recover_failed_reads(
+                m, ring, feat_handle, ssd_nodes, t_load, res, io_size,
+                record_bytes)
+        if len(t_load) < len(to_load):
+            # Page-cache hits are ready immediately.
+            t_load = np.concatenate([
+                np.full(len(to_load) - len(t_load), m.sim.now), t_load])
+        rows = dataset.features.gather(to_load)
+        if len(dropped_nodes):
+            # Unrecoverable reads: zero-fill those rows (gather returned
+            # a copy), the batch still trains.
+            rows[np.isin(to_load, dropped_nodes)] = 0
+        fb.fill(to_load, rows)
+        t_ready = np.sort(t_load)
+        if link is not None:
+            # Phase 2: per-node PCIe transfers launched at each node's
+            # own load completion (overlapped, §4.2).
+            t_ready = link.copy_stream(t_ready, record_bytes)
+        # The extractor parks on the CQ without holding a core
+        # (asynchronous wait — deliberately NOT iowait).
+        yield m.sim.timeout(max(0.0, float(t_ready[-1]) - m.sim.now))
+        fb.finish_load(to_load)
+    if staging is not None:
+        staging.free(len(to_load), portion)
+
+    # Nodes another extractor is loading: re-examine at the end
+    # (Algorithm 1 line 38).
+    if len(cls.wait_nodes):
+        yield AllOf(m.sim, [fb.ready_event(v) for v in cls.wait_nodes])
+    return cls, fb.resolve_aliases(nodes)
 
 
 class GNNDrive(TrainingSystem):
@@ -246,15 +333,7 @@ class GNNDrive(TrainingSystem):
                 return
             epoch, batch_id, seeds = item
             t0 = m.sim.now
-            sub = sampler.sample(seeds)  # data plane (instant)
-            # Timing: fault topology index pages hop by hop (mmap reads),
-            # then charge the sampling arithmetic on a CPU core.
-            for frontier in sub.hop_frontiers:
-                yield from topo_access_with_retry(
-                    m, m.page_cache, self.dataset.topo_handle,
-                    self.dataset.graph, frontier)
-            yield from m.cpu_task(m.cpu_cost.sample_compute_time(
-                sum(len(f) for f in sub.hop_frontiers), sub.total_edges()))
+            sub = yield from sample_step(m, self.dataset, sampler, seeds)
             self._stage.sample += m.sim.now - t0
             if m.tracer:
                 m.tracer.span(f"batch {batch_id}", "sample",
@@ -281,11 +360,12 @@ class GNNDrive(TrainingSystem):
     def _extractor_proc(self, idx: int) -> Generator:
         m = self.machine
         cfg = self.config
-        fb = self.feature_buffer
         ring = AsyncRing(m.sim, m.ssd, depth=cfg.io_depth,
                          direct=cfg.direct_io)
-        feat_handle = self.dataset.feat_handle
-        record_bytes = self.dataset.features.record_nbytes
+        # Phase 2 crosses PCIe unless features land where they train:
+        # the CPU variant's host buffer, or GDS straight into the GPU.
+        link = (m.pcie[cfg.gpu_id]
+                if cfg.device == "gpu" and not cfg.gpu_direct else None)
         while True:
             item = yield self.extract_q.get()
             if item is SHUTDOWN:
@@ -298,6 +378,7 @@ class GNNDrive(TrainingSystem):
                 self._adapt_feature_buffer()
             nodes = item.subgraph.all_nodes
             if len(nodes) > self.max_batch_nodes:
+                record_bytes = self.dataset.features.record_nbytes
                 raise OutOfMemoryError(
                     len(nodes) * record_bytes,
                     self.max_batch_nodes * record_bytes,
@@ -306,94 +387,22 @@ class GNNDrive(TrainingSystem):
             # sim-race: ordered -- slot protocol: extract_q FIFO hands
             # each batch to exactly one extractor, slot sets of live
             # batches are disjoint, and trainer/releaser only touch
-            # batches whose finish_load already completed.
-            cls = fb.begin_batch(nodes)
-
-            # Reserve slots for the loads (blocks on the releaser when
-            # the standby list runs dry — the Ne x Mb reserve bounds it).
-            pending = cls.needs_load
-            while len(pending):
-                _, pending = fb.allocate_slots(pending)
-                if len(pending):
-                    yield fb.slot_wait_event()
-            to_load = cls.needs_load
-
-            if self.staging is not None:
-                # sim-race: ordered -- staging grants follow FIFO waiter
-                # order, which the seq-pinned cohort order fixes.
-                yield from reserve_staging_with_backoff(
-                    m, self.staging, len(to_load), self.staging_portion)
-            # SQE construction and buffer bookkeeping on a CPU core.
-            yield from m.cpu_task(PER_BATCH_COST
-                                  + len(nodes) * PER_NODE_SUBMIT_COST)
-
-            if len(to_load):
-                ssd_nodes = to_load
-                if not cfg.direct_io:
-                    # Buffered alternative (§4.4): reads go through the
-                    # OS page cache — resident pages are free, missed
-                    # pages pollute the cache (squeezing the topology,
-                    # which is exactly why the paper prefers direct I/O).
-                    cache = m.page_cache
-                    resident = cache.records_resident_mask(feat_handle,
-                                                           to_load)
-                    ssd_nodes = to_load[~resident]
-                    # sim-race: ordered -- warm() inserts the disjoint
-                    # pages this extractor just read; intra-cohort LRU
-                    # insertion order is seq-pinned and digest-verified.
-                    cache.warm(feat_handle,
-                               cache.pages_for_records(feat_handle, to_load))
-                # Phase 1: asynchronous loads from SSD (io_uring).
-                ring.prepare_record_reads(feat_handle, ssd_nodes,
-                                          io_size=self.io_size)
-                t_load = ring.submit()
-                res = ring.last_res
-                dropped_nodes = np.empty(0, dtype=np.int64)
-                if res is not None and (res < 0).any():
-                    # sim-race: ordered -- recovery resubmits go through
-                    # this extractor's private ring; SSD queueing order
-                    # within a cohort is seq-pinned and digest-verified.
-                    t_load, dropped_nodes = yield from recover_failed_reads(
-                        m, ring, feat_handle, ssd_nodes, t_load, res,
-                        self.io_size, record_bytes)
-                if len(t_load) < len(to_load):
-                    # Page-cache hits are ready immediately.
-                    t_load = np.concatenate([
-                        np.full(len(to_load) - len(t_load), m.sim.now),
-                        t_load])
-                rows = self.dataset.features.gather(to_load)
-                if len(dropped_nodes):
-                    # Unrecoverable reads: zero-fill those rows (gather
-                    # returned a copy), the batch still trains.
-                    rows[np.isin(to_load, dropped_nodes)] = 0
-                fb.fill(to_load, rows)
-                if cfg.device == "gpu" and not cfg.gpu_direct:
-                    # Phase 2: per-node PCIe transfers launched at each
-                    # node's own load completion (overlapped, §4.2).
-                    link = m.pcie[cfg.gpu_id]
-                    t_ready = link.copy_stream(np.sort(t_load), record_bytes)
-                else:
-                    # CPU variant or GDS: data already lands in the
-                    # feature buffer at load completion.
-                    t_ready = np.sort(t_load)
-                # The extractor thread parks on the CQ without holding a
-                # core (asynchronous wait — deliberately NOT iowait).
-                yield m.sim.timeout(max(0.0, float(t_ready[-1]) - m.sim.now))
-                fb.finish_load(to_load)
-            if self.staging is not None:
-                self.staging.free(len(to_load), self.staging_portion)
-
-            # Nodes another extractor is loading: re-examine at the end
-            # (Algorithm 1 line 38).
-            if len(cls.wait_nodes):
-                yield AllOf(m.sim, [fb.ready_event(v) for v in cls.wait_nodes])
-
-            aliases = fb.resolve_aliases(nodes)
+            # batches whose finish_load already completed; staging
+            # grants follow FIFO waiter order, which the seq-pinned
+            # cohort order fixes; warm() inserts the disjoint pages this
+            # extractor just read, in seq-pinned, digest-verified LRU
+            # order; recovery resubmits go through this extractor's
+            # private ring, SSD queueing within a cohort is seq-pinned
+            # and digest-verified.
+            cls, aliases = yield from extract_batch(
+                m, self.feature_buffer, ring, self.staging,
+                self.staging_portion, self.dataset, self.io_size, link,
+                nodes)
             self._stage.extract += m.sim.now - t0
             if m.tracer:
                 m.tracer.span(f"batch {item.batch_id}", "extract",
                               f"extractor{idx}", t0, m.sim.now,
-                              epoch=item.epoch, loaded=len(to_load),
+                              epoch=item.epoch, loaded=len(cls.needs_load),
                               reused=cls.reused)
             yield self.train_q.put(_TrainItem(item.epoch, item.batch_id,
                                               item.subgraph, aliases))

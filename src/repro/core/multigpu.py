@@ -16,7 +16,7 @@ include — neither do ours.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List
+from typing import Dict, Generator, List, Optional
 
 import numpy as np
 
@@ -93,13 +93,16 @@ class GradientSyncGroup:
 class SharedResources:
     """Resources shared among data-parallel subprocesses (§4.3)."""
 
-    staging: StagingBuffer
-    sync_group: GradientSyncGroup
+    staging: Optional[StagingBuffer]
+    #: Built once the workers exist: it takes their parameter count.
+    sync_group: Optional[GradientSyncGroup]
     indptr_alloc: object
 
 
 class MultiGPUGNNDrive(TrainingSystem):
     """K data-parallel GNNDrive subprocesses on one machine."""
+
+    owns_model = False
 
     def __init__(self, machine: Machine, dataset: DiskDataset,
                  train_cfg: TrainConfig = TrainConfig(),
@@ -126,9 +129,7 @@ class MultiGPUGNNDrive(TrainingSystem):
             staging = StagingBuffer(
                 machine.host, num_extractors * num_workers,
                 max_batch_nodes, io_size, num_portions=num_workers)
-        sync = GradientSyncGroup(machine.sim, num_workers,
-                                 self.model.num_parameters() * 4)
-        self.shared = SharedResources(staging, sync, self._indptr_alloc)
+        self.shared = SharedResources(staging, None, self._indptr_alloc)
 
         # Segments: equal batch counts per worker (DDP lockstep).
         if num_workers == 1:
@@ -157,6 +158,8 @@ class MultiGPUGNNDrive(TrainingSystem):
             self.workers.append(worker)
         # Worker 0's model is representative (all replicas identical).
         self.model = self.workers[0].model
+        self.shared.sync_group = GradientSyncGroup(
+            machine.sim, num_workers, self.model.num_parameters() * 4)
 
     # ------------------------------------------------------------------
     def _replicas(self) -> List[GNNDrive]:

@@ -1,10 +1,14 @@
-"""Topology-I/O accounting for the sample stage.
+"""The sample stage and its page-fault accounting.
 
 Every system samples through the memory-mapped CSC index array (§4.4:
 GNNDrive "does memory-mapped sampling like PyG+"); this module turns a
 hop frontier into the set of 4 KiB index-array pages the hop faults, so
 the page-cache model can charge hits/misses — the channel through which
 the extract stage's memory pressure slows sampling down (Fig. 2).
+:func:`sample_step` is the sample step of GNNDrive, PyG+, the in-memory
+reference and the serve worker (Ginex and MariusGNN sample through
+their own caches), and :func:`fault_records` the mmap-style feature
+extraction PyG+ and the synchronous serving backend share.
 
 A frontier node's adjacency run is read straight from ``graph.indptr``.
 Most runs lie within two pages, and then the runs' first and last pages
@@ -14,10 +18,13 @@ pays for the full per-page expansion.
 
 from __future__ import annotations
 
+from typing import Generator
+
 import numpy as np
 
 from repro.graph.csc import CSCGraph
-from repro.sampling.neighbor import sorted_unique
+from repro.graph.datasets import DiskDataset
+from repro.sampling.neighbor import NeighborSampler, sorted_unique
 from repro.storage.files import FileHandle
 from repro.storage.page_cache import PageCache
 
@@ -100,3 +107,33 @@ def topo_access_with_retry(machine, cache: PageCache, handle: FileHandle,
     value = yield from page_access_with_retry(
         machine, cache, handle, frontier_pages(cache, graph, frontier))
     return value
+
+
+def fault_records(machine, handle: FileHandle,
+                  records: np.ndarray) -> Generator:
+    """Synchronous mmap-style extraction: fault the pages holding
+    *records* of *handle* through :func:`page_access_with_retry`."""
+    cache = machine.page_cache
+    yield from page_access_with_retry(
+        machine, cache, handle, cache.pages_for_records(handle, records))
+
+
+def sample_step(machine, dataset: DiskDataset, sampler: NeighborSampler,
+                seeds: np.ndarray, factor: float = 1.0,
+                resident: bool = False) -> Generator:
+    """One sample stage: draw the subgraph of *seeds*, fault each hop's
+    topology pages (none when the topology is *resident*), then charge
+    the sampling arithmetic on a CPU core, scaled by *factor* (a slow
+    replica's degradation; 1.0 is exact).
+
+    Use as ``sub = yield from sample_step(...)`` inside a process.
+    """
+    sub = sampler.sample(seeds)  # data plane (instant)
+    if not resident:
+        for frontier in sub.hop_frontiers:
+            yield from topo_access_with_retry(
+                machine, machine.page_cache, dataset.topo_handle,
+                dataset.graph, frontier)
+    yield from machine.cpu_task(machine.cpu_cost.sample_compute_time(
+        sum(len(f) for f in sub.hop_frontiers), sub.total_edges()) * factor)
+    return sub

@@ -64,6 +64,10 @@ class StagingBuffer:
             raise ValueError("freeing more staging space than reserved")
         self._in_use[portion] -= need
 
+    def portion_nodes(self, portion: int = 0) -> int:
+        """Nodes' worth of space *portion* holds reserved."""
+        return self._in_use[portion] // self.io_size
+
     @property
     def in_use(self) -> int:
         return sum(self._in_use.values())

@@ -56,15 +56,12 @@ class HedgePolicy:
 
     quantile: float = 0.95
     min_delay: float = 2e-3
-    max_hedges: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.quantile < 1.0:
             raise ConfigError("hedge quantile must be in (0, 1)")
         if self.min_delay <= 0:
             raise ConfigError("hedge min_delay must be positive")
-        if self.max_hedges < 0:
-            raise ConfigError("max_hedges must be >= 0")
 
     def delay(self, observed_quantile: Optional[float]) -> float:
         """Hedge delay given the currently observed latency quantile."""

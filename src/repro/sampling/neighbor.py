@@ -79,10 +79,6 @@ class NeighborSampler:
             f: sequential_sums(np.float32(1) / np.float32(f), f)
             for f in self.fanouts}
 
-    @property
-    def num_hops(self) -> int:
-        return len(self.fanouts)
-
     # ------------------------------------------------------------------
     def sample(self, seeds: np.ndarray) -> SampledSubgraph:
         """Sample the computation graph for one mini-batch of *seeds*.

@@ -4,14 +4,16 @@ Both backends expose the same two-call protocol per job — ``feats =
 yield from extract(nodes)`` then ``release(nodes)`` after inference —
 and reuse the training stack unchanged:
 
-* :class:`AsyncServeBackend` — GNNDrive's path: io_uring ring into a
-  pinned staging portion, per-node PCIe overlap into a device-resident
-  feature buffer whose standby list stays *warm across requests*
-  (delayed invalidation, §4.2) — repeat queries for hub neighborhoods
-  skip the SSD entirely.
-* :class:`SyncServeBackend` — the PyG+-style baseline: mmap-style page
-  faults through the OS page cache (``fault_depth=1`` serialises the
-  misses) followed by one bulk PCIe copy.
+* :class:`AsyncServeBackend` — GNNDrive's path: it runs the training
+  extractor's :func:`~repro.core.driver.extract_batch` (io_uring ring
+  into a pinned staging portion, per-node PCIe overlap) into a
+  device-resident feature buffer whose standby list stays *warm across
+  requests* (delayed invalidation, §4.2) — repeat queries for hub
+  neighborhoods skip the SSD entirely.
+* :class:`SyncServeBackend` — the PyG+-style baseline: the same mmap
+  page faults as PyG+'s extraction
+  (:func:`~repro.core.sampling_io.fault_records`) followed by one bulk
+  PCIe copy.
 
 Fault plans apply to both: the async path runs the same recovery ladder
 as the training extractor (:mod:`repro.faults.recovery`), the sync path
@@ -21,21 +23,24 @@ toward its configured depth.
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Generator, Optional
 
 import numpy as np
 
-from repro.core.driver import PER_BATCH_COST, PER_NODE_SUBMIT_COST
+from repro.core.driver import extract_batch
 from repro.core.feature_buffer import FeatureBuffer
-from repro.core.sampling_io import page_access_with_retry
+from repro.core.sampling_io import fault_records
 from repro.core.staging import StagingBuffer
 from repro.errors import OutOfMemoryError
-from repro.faults.recovery import (recover_failed_reads,
-                                   reserve_staging_with_backoff)
 from repro.graph.datasets import DiskDataset
 from repro.machine import Machine
-from repro.serve.config import ServeConfig
 from repro.storage import AsyncRing
+
+#: io_uring depth of each replica's ring.
+IO_DEPTH = 64
+#: Extra feature-buffer slots beyond one job, as a fraction of the job
+#: footprint — the warm standby pool reused across requests.
+STANDBY_SCALE = 4.0
 
 
 class SyncServeBackend:
@@ -44,7 +49,7 @@ class SyncServeBackend:
     name = "sync"
 
     def __init__(self, machine: Machine, dataset: DiskDataset,
-                 config: ServeConfig, replica: int):
+                 replica: int):
         self.machine = machine
         self.dataset = dataset
         self.replica = replica
@@ -52,9 +57,7 @@ class SyncServeBackend:
 
     def extract(self, nodes: np.ndarray) -> Generator:
         m = self.machine
-        handle = self.dataset.feat_handle
-        pages = m.page_cache.pages_for_records(handle, nodes)
-        yield from page_access_with_retry(m, m.page_cache, handle, pages)
+        yield from fault_records(m, self.dataset.feat_handle, nodes)
         feat_bytes = len(nodes) * self.dataset.features.record_nbytes
         m.gpus[self.replica].allocate(feat_bytes, tag="batch")
         self._cur_alloc = feat_bytes
@@ -88,9 +91,6 @@ class SyncServeBackend:
     def loaded_nodes(self) -> int:
         return 0
 
-    def close(self) -> None:
-        pass
-
 
 class AsyncServeBackend:
     """Per-replica GNNDrive-style async extraction with a warm buffer."""
@@ -98,22 +98,19 @@ class AsyncServeBackend:
     name = "async"
 
     def __init__(self, machine: Machine, dataset: DiskDataset,
-                 config: ServeConfig, replica: int,
-                 max_job_nodes: int, gpu_budget: int,
+                 replica: int, max_job_nodes: int, gpu_budget: int,
                  staging: StagingBuffer):
         m = machine
         self.machine = m
         self.dataset = dataset
-        self.config = config
         self.replica = replica
         self.max_job_nodes = max_job_nodes
         self.staging = staging
         record = dataset.features.record_nbytes
-        self.io_size = dataset.features.io_size(config.direct_io)
         # One job in flight per replica, so Mb slots suffice for
         # progress; everything beyond that is the warm standby pool
         # reused across requests.
-        want = int(max_job_nodes * (1.0 + config.standby_scale))
+        want = int(max_job_nodes * (1.0 + STANDBY_SCALE))
         affordable = gpu_budget // record
         if affordable < max_job_nodes:
             raise OutOfMemoryError(max_job_nodes * record,
@@ -124,61 +121,23 @@ class AsyncServeBackend:
             m.sim, self.num_slots, dataset.num_nodes, dataset.dim)
         m.gpus[replica].allocate(self.num_slots * record,
                                  tag="feature-buffer")
-        self.ring = AsyncRing(m.sim, m.ssd, depth=config.io_depth,
-                              direct=config.direct_io)
-        #: In-flight extraction state, tracked so an abnormal exit
-        #: (replica crash/hang interrupt) can reclaim what the batch
-        #: held: nodes with live buffer references and the staging
-        #: reservation outstanding for them.
+        self.ring = AsyncRing(m.sim, m.ssd, depth=IO_DEPTH)
+        #: Nodes of the job in flight, holding buffer references, so an
+        #: abnormal exit (replica crash/hang interrupt) can return them;
+        #: its staging reservation is what the replica's portion holds.
         self._inflight: Optional[np.ndarray] = None
-        self._staged = 0
         if m.sim.sanitizer is not None:
             m.sim.sanitizer.register(self.feature_buffer)
 
     def extract(self, nodes: np.ndarray) -> Generator:
         m = self.machine
         fb = self.feature_buffer
-        handle = self.dataset.feat_handle
-        record = self.dataset.features.record_nbytes
-        cls = fb.begin_batch(nodes)
         self._inflight = nodes
-        pending = cls.needs_load
-        while len(pending):
-            _, pending = fb.allocate_slots(pending)
-            if len(pending):
-                yield fb.slot_wait_event()
-        to_load = cls.needs_load
-        if self.staging is not None:
-            yield from reserve_staging_with_backoff(
-                m, self.staging, len(to_load), self.replica)
-            self._staged = len(to_load)
-        yield from m.cpu_task(PER_BATCH_COST
-                              + len(nodes) * PER_NODE_SUBMIT_COST)
-        if len(to_load):
-            self.ring.prepare_record_reads(handle, to_load,
-                                           io_size=self.io_size)
-            t_load = self.ring.submit()
-            res = self.ring.last_res
-            dropped_nodes = np.empty(0, dtype=np.int64)
-            if res is not None and (res < 0).any():
-                t_load, dropped_nodes = yield from recover_failed_reads(
-                    m, self.ring, handle, to_load, t_load, res,
-                    self.io_size, record)
-            rows = self.dataset.features.gather(to_load)
-            if len(dropped_nodes):
-                rows[np.isin(to_load, dropped_nodes)] = 0
-            fb.fill(to_load, rows)
-            # Per-node PCIe transfers launched at each node's own load
-            # completion (the training extractor's phase-2 overlap).
-            t_ready = m.pcie[self.replica].copy_stream(
-                np.sort(t_load), record)
-            yield m.sim.timeout(max(0.0, float(t_ready[-1]) - m.sim.now))
-            fb.finish_load(to_load)
-        if self.staging is not None:
-            self.staging.free(len(to_load), self.replica)
-            self._staged = 0
-        # One extractor per buffer -> wait_nodes is always empty here.
-        aliases = fb.resolve_aliases(nodes)
+        # One extractor per buffer, so the batch never waits on nodes
+        # another extractor is loading.
+        _, aliases = yield from extract_batch(
+            m, fb, self.ring, self.staging, self.replica, self.dataset,
+            self.staging.io_size, m.pcie[self.replica], nodes)
         self.ring.widen()
         return fb.gather(aliases)
 
@@ -187,6 +146,12 @@ class AsyncServeBackend:
         self.feature_buffer.release(nodes)
         self._inflight = None
 
+    def _free_staging(self) -> None:
+        """Return the staging reservation of an interrupted job."""
+        held = self.staging.portion_nodes(self.replica)
+        if held:
+            self.staging.free(held, self.replica)
+
     def abort_batch(self) -> None:
         """Undo in-flight extraction state without losing the cache.
 
@@ -194,9 +159,7 @@ class AsyncServeBackend:
         staging reservation are returned, but warm mappings survive so
         the replica resumes with its locality intact.
         """
-        if self._staged:
-            self.staging.free(self._staged, self.replica)
-            self._staged = 0
+        self._free_staging()
         if self._inflight is not None:
             self.feature_buffer.release(self._inflight)
             self._inflight = None
@@ -211,9 +174,7 @@ class AsyncServeBackend:
         retain the dead replica's reservation (the pinned-leak sweep
         would flag it at the next epoch boundary).
         """
-        if self._staged:
-            self.staging.free(self._staged, self.replica)
-            self._staged = 0
+        self._free_staging()
         self._inflight = None
         self.ring.reset()
         self.feature_buffer.reset_cold()
@@ -225,6 +186,3 @@ class AsyncServeBackend:
     @property
     def loaded_nodes(self) -> int:
         return self.feature_buffer.stat_loaded
-
-    def close(self) -> None:
-        pass

@@ -129,10 +129,10 @@ class WorkloadSpec:
 class ServeConfig:
     """Serving-plane knobs: queueing, batching, extraction backend.
 
-    The hedge, health-checker, failover and brownout knobs take effect
-    only when the machine's fault plan has ``replica_*`` specs, which
-    arms the :class:`~repro.serve.resilience.ResiliencePlane`'s
-    recovery machinery.  Every float field must be finite.
+    ``hedge`` and ``failover_budget`` take effect only when the
+    machine's fault plan has ``replica_*`` specs, which arms the
+    :class:`~repro.serve.resilience.ResiliencePlane`'s recovery
+    machinery.  Every float field must be finite.
     """
 
     backend: str = "async"
@@ -146,36 +146,14 @@ class ServeConfig:
     #: Seconds the batcher holds an open batch for stragglers; 0 seals
     #: immediately with whatever is queued (latency-optimal).
     max_wait: float = 1e-3
-    io_depth: int = 64
-    direct_io: bool = True
-    #: Extra feature-buffer slots beyond one batch, as a fraction of the
-    #: batch footprint — the warm standby pool reused across requests.
-    standby_scale: float = 4.0
-    #: Safety margin on the probed max nodes per job (same role as
-    #: :class:`repro.core.config.GNNDriveConfig.batch_nodes_margin`).
-    batch_nodes_margin: float = 1.3
-    #: Hedged requests (more than one replica): after
-    #: ``max(hedge_min_delay, observed latency quantile)`` without a
+    #: Hedged requests (more than one replica): after a latency-quantile
+    #: delay (:class:`~repro.faults.recovery.HedgePolicy`) without a
     #: completion, clone the attempt onto another healthy replica;
     #: first completion wins, the loser is cancelled.
     hedge: bool = True
-    hedge_quantile: float = 0.95
-    hedge_min_delay: float = 2e-3
-    #: Health checker: probe cadence, consecutive missed probes before
-    #: ejection, and the probation period a recovering replica serves
-    #: before new traffic is routed to it again.
-    heartbeat_interval: float = 2e-3
-    heartbeat_miss_threshold: int = 2
-    probation_period: float = 4e-3
     #: Failover re-dispatches allowed per crash-orphaned attempt before
     #: its requests are abandoned as ``failed``.
     failover_budget: int = 3
-    #: Brownout: when the fraction of healthy replicas drops below the
-    #: threshold, admission deadlines and micro-batch sizes are scaled
-    #: down to preserve goodput for the work still accepted.
-    brownout_threshold: float = 0.5
-    brownout_deadline_scale: float = 0.6
-    brownout_batch_scale: float = 0.5
 
     def __post_init__(self):
         require_finite_floats(self)
@@ -192,30 +170,8 @@ class ServeConfig:
             raise ConfigError("max_batch_size must be >= 1")
         if self.max_wait < 0:
             raise ConfigError("max_wait must be >= 0")
-        if self.io_depth < 1:
-            raise ConfigError("io_depth must be >= 1")
-        if self.standby_scale < 0:
-            raise ConfigError("standby_scale must be >= 0")
-        if self.batch_nodes_margin < 1.0:
-            raise ConfigError("batch_nodes_margin must be >= 1")
-        if not 0.0 < self.hedge_quantile < 1.0:
-            raise ConfigError("hedge_quantile must be in (0, 1)")
-        if not self.hedge_min_delay > 0:
-            raise ConfigError("hedge_min_delay must be positive")
-        if not self.heartbeat_interval > 0:
-            raise ConfigError("heartbeat_interval must be positive")
-        if self.heartbeat_miss_threshold < 1:
-            raise ConfigError("heartbeat_miss_threshold must be >= 1")
-        if self.probation_period < 0:
-            raise ConfigError("probation_period must be >= 0")
         if self.failover_budget < 0:
             raise ConfigError("failover_budget must be >= 0")
-        if not 0.0 <= self.brownout_threshold <= 1.0:
-            raise ConfigError("brownout_threshold must be in [0, 1]")
-        if not 0.0 < self.brownout_deadline_scale <= 1.0:
-            raise ConfigError("brownout_deadline_scale must be in (0, 1]")
-        if not 0.0 < self.brownout_batch_scale <= 1.0:
-            raise ConfigError("brownout_batch_scale must be in (0, 1]")
 
     def with_(self, **kw) -> "ServeConfig":
         return replace(self, **kw)

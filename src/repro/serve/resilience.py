@@ -62,6 +62,19 @@ REPLICA_STATES = ("up", "probation", "ejected", "down")
 #: blocks the batcher (one more than this while it waits).
 QUEUE_BOUND = 2
 
+#: Health checker: probe cadence (s), consecutive missed probes before
+#: ejection, and the probation (s) a recovering replica serves before
+#: new traffic is routed to it again.
+HEARTBEAT_INTERVAL = 2e-3
+HEARTBEAT_MISS_THRESHOLD = 2
+PROBATION_PERIOD = 4e-3
+#: Brownout: when the fraction of healthy replicas drops below the
+#: threshold, admission deadlines and micro-batch sizes are scaled down
+#: to preserve goodput for the work still accepted.
+BROWNOUT_THRESHOLD = 0.5
+BROWNOUT_DEADLINE_SCALE = 0.6
+BROWNOUT_BATCH_SCALE = 0.5
+
 
 class JobQueue:
     """Per-replica job queue safe against abandoned waits.
@@ -245,9 +258,7 @@ class ResiliencePlane:
         self.ledger = inj.ledger if inj is not None else None
         self.hedge_policy: Optional[HedgePolicy] = None
         if specs and cfg.hedge and cfg.num_replicas > 1:
-            self.hedge_policy = HedgePolicy(
-                quantile=cfg.hedge_quantile,
-                min_delay=cfg.hedge_min_delay)
+            self.hedge_policy = HedgePolicy()
         self.replicas: List[ReplicaState] = [
             ReplicaState(r, JobQueue(self.sim, f"serve-rjobs{r}"))
             for r in range(cfg.num_replicas)]
@@ -480,7 +491,7 @@ class ResiliencePlane:
             return  # run over: stay down, nothing left to serve
         st.incarnation += 1
         st.status = "probation"
-        st.probation_until = sim.now + self.cfg.probation_period
+        st.probation_until = sim.now + PROBATION_PERIOD
         st.responsive = True
         st.worker = sim.process(
             self.worker_proc(r, st.incarnation),
@@ -507,9 +518,8 @@ class ResiliencePlane:
     # ------------------------------------------------------------------
     def health_proc(self) -> Generator:
         sim = self.sim
-        cfg = self.cfg
         while not self.server._done.triggered:
-            yield sim.timeout(cfg.heartbeat_interval)
+            yield sim.timeout(HEARTBEAT_INTERVAL)
             now = sim.now
             for st in self.replicas:
                 if st.status == "down":
@@ -517,14 +527,14 @@ class ResiliencePlane:
                 if not st.responsive:
                     st.misses += 1
                     if st.status in ("up", "probation") \
-                            and st.misses >= cfg.heartbeat_miss_threshold:
+                            and st.misses >= HEARTBEAT_MISS_THRESHOLD:
                         st.status = "ejected"
                         self._count("ejections")
                     continue
                 st.misses = 0
                 if st.status == "ejected":
                     st.status = "probation"
-                    st.probation_until = now + cfg.probation_period
+                    st.probation_until = now + PROBATION_PERIOD
                 elif st.status == "probation" \
                         and now >= st.probation_until:
                     st.status = "up"
@@ -534,8 +544,7 @@ class ResiliencePlane:
 
     def _update_brownout(self, now: float) -> None:
         healthy = sum(1 for st in self.replicas if st.status == "up")
-        degraded = healthy < self.cfg.brownout_threshold \
-            * len(self.replicas)
+        degraded = healthy < BROWNOUT_THRESHOLD * len(self.replicas)
         batcher = getattr(self.server, "batcher", None)
         if degraded and not self.brownout:
             self.brownout = True
@@ -543,8 +552,7 @@ class ResiliencePlane:
             self._count("brownouts")
             if batcher is not None:
                 batcher.max_batch_size = max(
-                    1, int(self._base_batch_size
-                           * self.cfg.brownout_batch_scale))
+                    1, int(self._base_batch_size * BROWNOUT_BATCH_SCALE))
         elif not degraded and self.brownout:
             self.brownout = False
             self._accum("brownout_time", now - self._brownout_since)

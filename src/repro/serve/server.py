@@ -26,24 +26,27 @@ from typing import Dict, Generator, List, Optional
 
 import numpy as np
 
-from repro.core.base import (TrainConfig, activation_bytes,
-                             probe_batch_shape)
-from repro.core.sampling_io import topo_access_with_retry
+from repro.core.base import (TrainConfig, activation_bytes, build_model,
+                             model_layout, probe_batch_shape)
+from repro.core.sampling_io import sample_step
 from repro.core.stats import ServeStats
 from repro.core.staging import StagingBuffer
 from repro.graph.datasets import DiskDataset
 from repro.machine import Machine
-from repro.models import make_model
-from repro.models.costmodel import ComputeCostModel
 from repro.models.train import predict
 from repro.sampling import NeighborSampler
 from repro.serve.backends import AsyncServeBackend, SyncServeBackend
 from repro.serve.batcher import AdmissionQueue, Job, MicroBatcher
 from repro.serve.config import ServeConfig, WorkloadSpec
-from repro.serve.resilience import ResiliencePlane
+from repro.serve.resilience import BROWNOUT_DEADLINE_SCALE, ResiliencePlane
 from repro.serve.workload import Request, build_requests
 from repro.simcore import LatencyRecorder, RandomStreams
 from repro.simcore.engine import Event
+
+
+#: Safety margin on the probed max nodes per job (the role of
+#: :attr:`repro.core.config.GNNDriveConfig.batch_nodes_margin`).
+BATCH_NODES_MARGIN = 1.3
 
 
 class InferenceServer:
@@ -66,14 +69,8 @@ class InferenceServer:
         if dataset.topo_handle is None:
             dataset.mount(m.catalog)
         self.streams = RandomStreams(workload.seed)
-        self.fanouts = train_cfg.resolved_fanouts()
-        self.model = make_model(
-            train_cfg.model_kind, dataset.dim, train_cfg.hidden_dim,
-            dataset.num_classes, train_cfg.num_layers,
-            seed=train_cfg.seed, **dict(train_cfg.model_kwargs))
-        self.dims = ComputeCostModel.model_dims(
-            train_cfg.model_kind, dataset.dim, train_cfg.hidden_dim,
-            dataset.num_classes, train_cfg.num_layers)
+        self.fanouts, self.dims = model_layout(dataset, train_cfg)
+        self.model = build_model(dataset, train_cfg)
         #: The CSC index-pointer array stays resident, as in training.
         self._indptr_alloc = m.host.allocate(dataset.indptr_nbytes(),
                                              tag="indptr")
@@ -84,10 +81,9 @@ class InferenceServer:
             dataset, self.fanouts,
             config.max_batch_size * workload.seeds_per_request,
             dims=self.dims, seed=workload.seed)
-        self.max_job_nodes = int(observed * config.batch_nodes_margin)
+        self.max_job_nodes = int(observed * BATCH_NODES_MARGIN)
         # Inference activations: forward only, half the training probe.
-        self._act_reserve = int(observed_act
-                                * config.batch_nodes_margin) // 2
+        self._act_reserve = int(observed_act * BATCH_NODES_MARGIN) // 2
 
         # The plane arms its recovery machinery iff the machine's fault
         # plan targets the replica failure domain.
@@ -97,14 +93,12 @@ class InferenceServer:
 
         self.queue = AdmissionQueue(m.sim, config.queue_capacity)
         model_bytes = (self.model.num_parameters() * 4)
-        record = dataset.features.record_nbytes
         self.staging: Optional[StagingBuffer] = None
         if config.backend == "async":
             # Shared pinned staging, one portion per replica (§4.3).
             self.staging = StagingBuffer(
                 m.host, config.num_replicas, self.max_job_nodes,
-                dataset.features.io_size(config.direct_io),
-                num_portions=config.num_replicas)
+                dataset.features.io_size(), num_portions=config.num_replicas)
         self.backends: List = []
         self._samplers: List[NeighborSampler] = []
         for r in range(config.num_replicas):
@@ -112,16 +106,13 @@ class InferenceServer:
             if config.backend == "async":
                 budget = (m.gpus[r].available - self._act_reserve)
                 backend = AsyncServeBackend(
-                    m, dataset, config, r, self.max_job_nodes, budget,
-                    self.staging)
+                    m, dataset, r, self.max_job_nodes, budget, self.staging)
             else:
-                backend = SyncServeBackend(m, dataset, config, r)
+                backend = SyncServeBackend(m, dataset, r)
             self.backends.append(backend)
             self._samplers.append(NeighborSampler(
                 dataset.graph, self.fanouts,
                 self.streams.fork("serve-sampler", r)))
-        self._model_bytes = model_bytes
-        self._record = record
         if m.sim.sanitizer is not None:
             m.sim.sanitizer.register(self.queue)
 
@@ -170,7 +161,7 @@ class InferenceServer:
         deadline = req.deadline
         if self.resilience.brownout:
             deadline = req.arrival + (self.config.slo
-                                      * self.config.brownout_deadline_scale)
+                                      * BROWNOUT_DEADLINE_SCALE)
         if self.machine.sim.now > deadline:
             req.status = "timeout"
             self.timed_out += 1
@@ -243,17 +234,10 @@ class InferenceServer:
         first-completion-wins arbitration."""
         m = self.machine
         backend = self.backends[r]
-        sampler = self._samplers[r]
         gpu = m.gpus[r]
         seeds = np.concatenate([req.seeds for req in job.requests])
-        sub = sampler.sample(seeds)
-        for frontier in sub.hop_frontiers:
-            yield from topo_access_with_retry(
-                m, m.page_cache, self.dataset.topo_handle,
-                self.dataset.graph, frontier)
-        yield from m.cpu_task(m.cpu_cost.sample_compute_time(
-            sum(len(f) for f in sub.hop_frontiers),
-            sub.total_edges()) * factor)
+        sub = yield from sample_step(m, self.dataset, self._samplers[r],
+                                     seeds, factor)
         feats = yield from backend.extract(sub.all_nodes)
         duration = m.gpu_cost.forward_time(
             self.train_cfg.model_kind, sub.layer_sizes(),

@@ -29,7 +29,7 @@ from repro.simcore.lru import ArrayLRU
 from repro.simcore.primitives import AllOf, AnyOf, Condition
 from repro.simcore.resources import Resource, Store
 from repro.simcore.metrics import (IntervalRecorder, LatencyRecorder,
-                                   UtilizationProbe, TraceRecorder)
+                                   UtilizationProbe)
 from repro.simcore.rand import RandomStreams
 
 __all__ = [
@@ -46,6 +46,5 @@ __all__ = [
     "IntervalRecorder",
     "LatencyRecorder",
     "UtilizationProbe",
-    "TraceRecorder",
     "RandomStreams",
 ]

@@ -3,15 +3,14 @@
 The paper's Figures 3 and 11 plot CPU utilization, GPU utilization and the
 ratio of I/O wait time over a three-epoch window.  ``IntervalRecorder``
 accumulates busy intervals for a facility; ``UtilizationProbe`` turns those
-intervals into per-window utilization ratios; ``TraceRecorder`` keeps
-arbitrary (time, value) series for the report printers.
+intervals into per-window utilization ratios; ``LatencyRecorder`` keeps
+per-request latencies for the request planes.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.simcore.engine import Simulator
@@ -110,26 +109,6 @@ class IntervalRecorder:
             self.utilization(start + i * width, start + (i + 1) * width)
             for i in range(buckets)
         ]
-
-
-@dataclass
-class TraceRecorder:
-    """Append-only (time, value) series keyed by metric name."""
-
-    series_data: Dict[str, List[Tuple[float, float]]] = field(default_factory=dict)
-
-    def record(self, name: str, time: float, value: float) -> None:
-        self.series_data.setdefault(name, []).append((time, value))
-
-    def get(self, name: str) -> List[Tuple[float, float]]:
-        return self.series_data.get(name, [])
-
-    def names(self) -> Sequence[str]:
-        return list(self.series_data)
-
-    def last(self, name: str, default: float = 0.0) -> float:
-        s = self.series_data.get(name)
-        return s[-1][1] if s else default
 
 
 class LatencyRecorder:

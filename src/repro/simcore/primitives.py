@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Sequence
 
-from repro.errors import SimulationError
 from repro.simcore.engine import Event, Simulator
 
 
@@ -63,32 +62,3 @@ class AnyOf(Condition):
     def __init__(self, sim: Simulator, events: Sequence[Event]) -> None:
         super().__init__(sim, events, count=1)
 
-
-class Countdown:
-    """An N-ticks-one-event latch.
-
-    The classic shape of per-CQE completion delivery: N arrivals each
-    call :meth:`tick`, and :attr:`event` fires on the last one.  Unlike
-    :class:`AllOf` it needs no constituent event objects, so callers
-    that already know *when* things happen (e.g. a wakeup per completion
-    time) pay one Event total.
-    """
-
-    __slots__ = ("sim", "remaining", "event")
-
-    def __init__(self, sim: Simulator, count: int) -> None:
-        self.sim = sim
-        self.remaining = int(count)
-        self.event = Event(sim)
-        if self.remaining <= 0:
-            self.event.succeed(0)
-
-    def tick(self, n: int = 1) -> bool:
-        """Consume *n* counts; returns True when the latch just fired."""
-        if self.remaining <= 0:
-            raise SimulationError("tick() on a finished countdown")
-        self.remaining -= n
-        if self.remaining <= 0:
-            self.event.succeed(0)
-            return True
-        return False

@@ -47,10 +47,6 @@ class Resource:
     def available(self) -> int:
         return self.capacity - self.in_use
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
     def request(self) -> Event:
         """Return an event that succeeds once a unit is granted."""
         ev = Event(self.sim)

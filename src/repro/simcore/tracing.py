@@ -49,25 +49,6 @@ class SpanTracer:
         self._instants.append(dict(name=name, track=track, when=when,
                                    args=args or None))
 
-    def span_batch(self, name: str, category: str, track: str,
-                   starts: Any, ends: Any) -> None:
-        """Record one span per (start, end) pair with a single call.
-
-        The cohort-dispatch companion: when a batched completion cohort
-        lands (N requests finishing in one drain), the per-request spans
-        arrive as arrays; appending them in one call keeps tracing off
-        the hot path.  All spans share *name*/*category*/*track*.
-        """
-        starts = list(map(float, starts))
-        ends = list(map(float, ends))
-        if len(starts) != len(ends):
-            raise ValueError("span_batch: starts and ends differ in length")
-        for s, e in zip(starts, ends):
-            if e < s:
-                raise ValueError(f"span {name!r} ends before it starts")
-        self.spans.extend(Span(name, category, track, s, e)
-                          for s, e in zip(starts, ends))
-
     def _tid(self, track: str) -> int:
         if track not in self._track_ids:
             self._track_ids[track] = len(self._track_ids) + 1

@@ -372,16 +372,6 @@ class SSDDevice:
         return self.sim.timeout(max(0.0, last - self.sim.now), value=done)
 
     # ------------------------------------------------------------------
-    @property
-    def next_free(self) -> float:
-        """Earliest time any channel becomes free (congestion indicator)."""
-        return min(self._free_at)
-
-    @property
-    def last_free(self) -> float:
-        """Time when the whole device drains."""
-        return max(self._free_at)
-
     def utilization(self, until: Optional[float] = None) -> float:
         """Mean channel utilization from t=0 to *until* (default: now)."""
         until = self.sim.now if until is None else until

@@ -118,9 +118,6 @@ class PageCache:
     def resident_pages(self) -> int:
         return len(self._lru)
 
-    def resident_bytes(self) -> int:
-        return len(self._lru) * self.page_size
-
     def hits_for(self, name: str) -> int:
         """Cumulative page hits charged to file *name*."""
         return self.hits_by_tag.get(name, 0)

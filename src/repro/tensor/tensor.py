@@ -69,9 +69,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def numpy(self) -> np.ndarray:
         return self.data
 

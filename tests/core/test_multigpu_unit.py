@@ -127,3 +127,30 @@ def test_dataset_view_shares_everything_but_split():
     assert view.topo_handle is ds.topo_handle
     assert np.array_equal(view.train_idx, subset)
     assert np.array_equal(view.val_idx, ds.val_idx)
+
+
+def test_group_trains_only_its_workers_models():
+    """The group builds no model or optimizer of its own: it evaluates
+    worker 0's model, and the allreduce payload is that model's size."""
+    from repro.bench.runner import build_system, get_dataset
+    from repro.core.base import TrainConfig
+    from repro.machine import DEFAULT_SCALE, Machine, MachineSpec
+
+    machine = Machine(MachineSpec.paper_scaled(host_gb=32,
+                                               scale=DEFAULT_SCALE,
+                                               num_gpus=2))
+    group = build_system("multigpu", machine, get_dataset("tiny"),
+                         TrainConfig(), num_workers=2)
+    try:
+        stats = group.run_epochs(1)
+    finally:
+        group.shutdown()
+        group.teardown()
+    assert stats[0].num_batches > 0
+    assert not hasattr(group, "optimizer")
+    assert group.model is group.workers[0].model
+    assert all(w.optimizer._t > 0 for w in group.workers)
+    assert sum(w.optimizer._t for w in group.workers) == \
+        stats[0].num_batches
+    assert group.shared.sync_group.model_bytes == \
+        group.workers[0].model.num_parameters() * 4

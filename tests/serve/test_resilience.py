@@ -167,15 +167,11 @@ def test_crash_teardown_leaves_no_pinned_leak():
     try:
         stats = server.run()
         assert stats.faults["injected_crash"] > 0
-        if server.staging is not None:
-            assert server.staging.in_use == 0
+        assert sc.backend == "async"
+        assert server.staging.in_use == 0
         for backend in server.backends:
-            fb = getattr(backend, "feature_buffer", None)
-            if fb is not None:
-                fb.check_invariants()
-            ring = getattr(backend, "ring", None)
-            if ring is not None:
-                assert len(ring._sq) == 0
+            backend.feature_buffer.check_invariants()
+            assert len(backend.ring._sq) == 0
     finally:
         server.teardown()
 
@@ -196,14 +192,12 @@ def test_reset_cold_restores_feature_buffer():
                              train_cfg=sc.train_config())
     try:
         server.run()
-        backend = server.backends[0]
-        fb = getattr(backend, "feature_buffer", None)
-        if fb is not None:
-            assert fb.valid.any()        # warm rows from the run
-            fb.reset_cold()
-            assert not fb.valid.any()
-            assert (fb.ref == 0).all()
-            fb.check_invariants()
+        fb = server.backends[0].feature_buffer
+        assert fb.valid.any()            # warm rows from the run
+        fb.reset_cold()
+        assert not fb.valid.any()
+        assert (fb.ref == 0).all()
+        fb.check_invariants()
     finally:
         server.teardown()
 

@@ -85,3 +85,18 @@ def test_chaos_plan_survival():
     s = run.stats
     assert s.faults.get("injected", 0) > 0
     assert s.completed + s.shed + s.timed_out == 32
+
+
+def test_server_rejects_fanouts_not_matching_layers():
+    """The model/fanout check runs at construction, as for training."""
+    from repro.bench.runner import get_dataset
+    from repro.core.base import TrainConfig
+    from repro.machine import Machine
+    from repro.serve.server import InferenceServer
+
+    cfg = TrainConfig(num_layers=2)
+    machine = Machine(BASE.machine_spec())
+    with pytest.raises(ValueError, match="do not match 2 model layers"):
+        InferenceServer(machine, get_dataset("tiny"),
+                        config=BASE.serve_config(),
+                        workload=BASE.workload_spec(), train_cfg=cfg)

@@ -152,7 +152,7 @@ class Process(Event):
             return
         sim._active_process = None
 
-        # The shared primitives (Store, Countdown, ...) build events from
+        # The shared primitives (Store, AllOf, ...) build events from
         # the production engine's Event class; the reference engine runs
         # the same programs, so both flavours are legal yield targets.
         if not isinstance(target, (Event, _EngineEvent)):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.simcore import IntervalRecorder, Simulator, TraceRecorder, UtilizationProbe
+from repro.simcore import IntervalRecorder, Simulator, UtilizationProbe
 
 
 def run_busy_pattern(sim, rec, pattern):
@@ -87,17 +87,6 @@ def test_series_validates_buckets():
     rec = IntervalRecorder(sim)
     with pytest.raises(ValueError):
         rec.series(0, 1, buckets=0)
-
-
-def test_trace_recorder_roundtrip():
-    tr = TraceRecorder()
-    tr.record("loss", 0.0, 2.5)
-    tr.record("loss", 1.0, 1.5)
-    tr.record("acc", 1.0, 0.4)
-    assert tr.get("loss") == [(0.0, 2.5), (1.0, 1.5)]
-    assert tr.last("loss") == 1.5
-    assert tr.last("missing", default=-1) == -1
-    assert set(tr.names()) == {"loss", "acc"}
 
 
 def test_probe_snapshot_shapes():
