@@ -384,6 +384,12 @@ def _scan_spawn_sites(mod: ModuleInfo) -> None:
 # ----------------------------------------------------------------------
 # The interprocedural summariser
 # ----------------------------------------------------------------------
+def _is_private(name: str) -> bool:
+    """A leading underscore, and not a dunder."""
+    return name.startswith("_") and not (
+        name.startswith("__") and name.endswith("__"))
+
+
 class _Analysis:
     """Whole-file-set analysis state: module table + summary memo."""
 
@@ -401,6 +407,21 @@ class _Analysis:
                     ambiguous.add(name)
                 else:
                     self.global_fns[name] = (m, owner, node)
+        #: private method name -> its (module, class, node) when exactly
+        #: one analysed class defines it
+        self.private_methods: Dict[str, Tuple[ModuleInfo, Optional[str],
+                                              ast.FunctionDef]] = {}
+        twice: Set[str] = set()
+        for m in modules:
+            for cls in m.classes.values():
+                for name, node in cls.methods.items():
+                    if not _is_private(name) or name in twice:
+                        continue
+                    if name in self.private_methods:
+                        del self.private_methods[name]
+                        twice.add(name)
+                    else:
+                        self.private_methods[name] = (m, cls.name, node)
         #: (path, qual) -> summary memo; None marks in-progress (cycle).
         self._memo: Dict[Tuple[str, str], Optional[FunctionSummary]] = {}
 
@@ -656,6 +677,10 @@ class _AccessCollector(ast.NodeVisitor):
                 if hit is not None and hit[1] == "Machine":
                     return hit
                 return None
+            # Any other receiver (``server._process_job(...)``): a
+            # private method name that exactly one analysed class
+            # defines can only be that method.
+            return self.an.private_methods.get(fn.attr)
         return None
 
     def _bind_args(self, callee: FunctionSummary, call: ast.Call

@@ -22,9 +22,10 @@ from typing import Generator
 
 import numpy as np
 
+from repro.arrays import sorted_unique
 from repro.graph.csc import CSCGraph
 from repro.graph.datasets import DiskDataset
-from repro.sampling.neighbor import NeighborSampler, sorted_unique
+from repro.sampling.neighbor import NeighborSampler
 from repro.storage.files import FileHandle
 from repro.storage.page_cache import PageCache
 

@@ -18,12 +18,12 @@ of the mini-batch path reads:
   clean for the next one.
 * **The aggregation operator's structure.**  Every active row of a hop
   holds exactly ``fanout`` draws, so sorting each row's block and
-  merging repeats gives the canonical CSR structure that scipy's
-  ``sum_duplicates`` would reach: int32 ``indptr`` and ``indices`` plus
-  the number of draws merged into each entry.  Every draw of a row
-  carries the same float32 weight, so the merged weight of *k* draws is
-  a lookup into a table of sequential float32 sums (see
-  :class:`~repro.sampling.subgraph.CSRStructure`).
+  merging repeats gives the canonical CSR structure that
+  :meth:`~repro.sampling.subgraph.LayerAdj._csr` would build: int32
+  ``indptr`` and ``indices`` plus the number of draws merged into each
+  entry.  Every draw of a row carries the same float32 weight, so the
+  merged weight of *k* draws is a lookup into a table of sequential
+  float32 sums (see :class:`~repro.sampling.subgraph.CSRStructure`).
 """
 
 from __future__ import annotations
@@ -32,28 +32,17 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from repro.arrays import sorted_unique
 from repro.graph.csc import CSCGraph
 from repro.sampling.subgraph import CSRStructure, LayerAdj, SampledSubgraph
-
-
-def sorted_unique(values: np.ndarray) -> np.ndarray:
-    """``np.unique`` of a 1-D array by sort and mask; sorts *values* in
-    place.  At the sizes one mini-batch hop has, ``np.unique``'s own
-    Python overhead costs more than the sort."""
-    values.sort()
-    if len(values) < 2:
-        return values
-    head = np.empty(len(values), dtype=bool)
-    head[0] = True
-    np.not_equal(values[1:], values[:-1], out=head[1:])
-    return values[head]
 
 
 def sequential_sums(weight: np.float32, n: int) -> np.ndarray:
     """``S[k]`` = *weight* added *k* times in float32, for k in [0, n].
 
-    The order is the one scipy's ``csr_sum_duplicates`` uses to merge a
-    row's repeated entries: ``((w + w) + w) + ...``.
+    The order is the one ``LayerAdj._csr`` (and scipy's
+    ``csr_sum_duplicates``) uses to merge a row's repeated entries:
+    ``((w + w) + w) + ...``.
     """
     sums = np.zeros(n + 1, dtype=np.float32)
     for k in range(1, n + 1):

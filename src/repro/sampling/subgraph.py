@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
+
+from repro.tensor.sparse import CSRMatrix
 
 
 class CSRStructure(NamedTuple):
@@ -32,7 +33,7 @@ class CSRStructure(NamedTuple):
     #: How many draws each entry merges.
     mult: np.ndarray
     #: float32 table: ``mean_sums[k]`` is ``float32(1) / fanout`` added
-    #: *k* times in sequence, as scipy's ``sum_duplicates`` adds.
+    #: *k* times in sequence, as :meth:`LayerAdj._csr` merges repeats.
     mean_sums: np.ndarray
 
 
@@ -72,7 +73,7 @@ class LayerAdj:
     def num_edges(self) -> int:
         return len(self.src_pos)
 
-    def mean_matrix(self) -> sp.csr_matrix:
+    def mean_matrix(self) -> CSRMatrix:
         """Row-normalised aggregation operator (num_dst x num_src).
 
         Rows with no sampled in-edges are zero (their self path still
@@ -85,7 +86,7 @@ class LayerAdj:
         weights = 1.0 / np.maximum(deg[self.dst_pos], 1.0)
         return self._csr(self.dst_pos, self.src_pos, weights)
 
-    def sum_matrix(self) -> sp.csr_matrix:
+    def sum_matrix(self) -> CSRMatrix:
         """Unnormalised aggregation operator (num_dst x num_src)."""
         if self.structure is not None:
             # k ones add up to exactly k in float32.
@@ -94,7 +95,7 @@ class LayerAdj:
         weights = np.ones(len(self.src_pos), dtype=np.float32)
         return self._csr(self.dst_pos, self.src_pos, weights)
 
-    def gcn_matrix(self) -> sp.csr_matrix:
+    def gcn_matrix(self) -> CSRMatrix:
         """Symmetric-normalised GCN operator with implicit self-loops.
 
         Uses sampled degrees: weight(u->v) = 1/sqrt((d_v+1)(d_u_out+1)),
@@ -111,31 +112,40 @@ class LayerAdj:
         vals = np.concatenate([w, 1.0 / (d_dst + 1.0)]).astype(np.float32)
         return self._csr(rows, cols, vals)
 
-    def _canonical(self, data: np.ndarray) -> sp.csr_matrix:
+    def _canonical(self, data: np.ndarray) -> CSRMatrix:
         """The operator with the sampler-built structure and *data*."""
-        mat = sp.csr_matrix(
-            (data, self.structure.indices, self.structure.indptr),
-            shape=(self.num_dst, self.num_src))
-        mat.has_canonical_format = True
-        return mat
+        return CSRMatrix(self.structure.indptr, self.structure.indices,
+                         data, (self.num_dst, self.num_src))
 
     def _csr(self, rows: np.ndarray, cols: np.ndarray,
-             vals: np.ndarray) -> sp.csr_matrix:
-        """The canonical (num_dst x num_src) CSR matrix of the triplets.
+             vals: np.ndarray) -> CSRMatrix:
+        """The canonical (num_dst x num_src) operator of the triplets.
 
-        Built directly rather than through COO: a stable sort by row puts
-        the entries in the order scipy's COO->CSR conversion would, and
-        scipy's own ``sum_duplicates`` then sorts each row's columns and
-        merges repeats.  The result equals the COO route's matrix byte
-        for byte (``indptr``, ``indices`` and ``data``).
+        A stable sort by (row, column) orders the entries; each run of
+        one (row, column) pair merges into one entry whose value is the
+        run's values added in input order, ``((v0 + v1) + v2) + ...``.
+        That is scipy's COO->CSR result byte for byte wherever scipy's
+        order is defined: its per-row column sort (``std::sort``) is
+        stable only up to 16 entries, so a longer row that merges
+        unequal values may come out of scipy in another order.
         """
-        order = np.argsort(rows, kind="stable")
-        indptr = np.zeros(self.num_dst + 1, dtype=np.int64)
+        key = rows * self.num_src + cols
+        order = np.argsort(key, kind="stable")
+        key, vals = key[order], vals[order]
+        head = np.empty(len(key), dtype=bool)
+        head[:1] = True
+        np.not_equal(key[1:], key[:-1], out=head[1:])
+        starts = head.nonzero()[0]
+        lengths = np.diff(starts, append=len(key))
+        merged = vals[starts]
+        for k in range(1, int(lengths.max()) if len(key) else 0):
+            more = lengths > k
+            merged[more] += vals[starts[more] + k]
+        rows, cols = np.divmod(key[starts], self.num_src)
+        indptr = np.zeros(self.num_dst + 1, dtype=np.int32)
         np.cumsum(np.bincount(rows, minlength=self.num_dst), out=indptr[1:])
-        mat = sp.csr_matrix((vals[order], cols[order], indptr),
-                            shape=(self.num_dst, self.num_src))
-        mat.sum_duplicates()
-        return mat
+        return CSRMatrix(indptr, cols.astype(np.int32), merged,
+                         (self.num_dst, self.num_src))
 
 
 @dataclass

@@ -331,6 +331,8 @@ class ResiliencePlane:
                     continue
                 st.current = att
                 factor = st.compute_factor(self.sim.now)
+                # sim-race: ordered -- worker r owns gpus[r] exclusively
+                # (one worker per replica); instances touch disjoint devices.
                 yield from server._process_job(r, att.job, factor=factor)
                 st.current = None
                 self._finish(att)

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.arrays import sorted_unique
 from repro.memory.host import HostMemory
 from repro.simcore.engine import Simulator, Timeout
 from repro.simcore.lru import ArrayLRU
@@ -243,7 +244,8 @@ class PageCache:
         sized by the *sum* of the per-record page spans, never by
         ``records x max_span`` — one huge record cannot blow memory up.
         """
-        record_ids = np.unique(np.asarray(record_ids, dtype=np.int64))
+        record_ids = sorted_unique(
+            np.array(record_ids, dtype=np.int64).ravel())
         if len(record_ids) == 0:
             return np.empty(0, dtype=np.int64)
         first, last = self._record_page_spans(handle, record_ids)
@@ -252,7 +254,7 @@ class PageCache:
         flat_first = np.repeat(first, counts)
         offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts,
                                                counts)
-        return np.unique(flat_first + offsets)
+        return sorted_unique(flat_first + offsets)
 
     def _record_page_spans(self, handle: FileHandle, record_ids: np.ndarray
                            ) -> Tuple[np.ndarray, np.ndarray]:
@@ -334,7 +336,7 @@ class PageCache:
         in flight at once: the kernel issues readahead-style batches).
         The event's value is ``(hit_count, miss_count)``.
         """
-        pages = np.unique(np.asarray(pages, dtype=np.int64))
+        pages = sorted_unique(np.array(pages, dtype=np.int64).ravel())
         state = self._state(handle)
         if len(pages):
             state.ensure_pages(int(pages[-1]) + 2)

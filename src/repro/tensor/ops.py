@@ -14,8 +14,8 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
+from repro.tensor.sparse import CSRMatrix
 from repro.tensor.tensor import Tensor, as_tensor, is_grad_enabled
 
 
@@ -174,7 +174,7 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
 # ----------------------------------------------------------------------
 # Sparse aggregation
 # ----------------------------------------------------------------------
-def spmm(adj: sp.spmatrix, x: Tensor) -> Tensor:
+def spmm(adj: CSRMatrix, x: Tensor) -> Tensor:
     """Sparse-constant @ dense: neighborhood aggregation.
 
     *adj* (n_dst, n_src) carries the (fixed) aggregation weights — e.g. a
@@ -182,7 +182,6 @@ def spmm(adj: sp.spmatrix, x: Tensor) -> Tensor:
     GCN operator.  Gradient flows only through *x*.
     """
     x = as_tensor(x)
-    adj = adj.tocsr()
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
@@ -192,7 +191,7 @@ def spmm(adj: sp.spmatrix, x: Tensor) -> Tensor:
                  "spmm")
 
 
-def sage_layer(h: Tensor, neigh: sp.spmatrix | Tensor, w_self: Tensor,
+def sage_layer(h: Tensor, neigh: CSRMatrix | Tensor, w_self: Tensor,
                bias: Tensor, w_neigh: Tensor, relu: bool = False) -> Tensor:
     """One GraphSAGE layer as a single tape node.
 
@@ -215,7 +214,7 @@ def sage_layer(h: Tensor, neigh: sp.spmatrix | Tensor, w_self: Tensor,
         agg_in, adj = neigh, None
         agg = neigh.data
     else:
-        agg_in, adj = None, neigh.tocsr()
+        agg_in, adj = None, neigh
         agg = np.asarray(adj @ h.data, dtype=np.float32)
     n_dst = agg.shape[0]
     h_self = h.data[:n_dst]

@@ -267,3 +267,66 @@ def test_processes_in_different_modules_do_not_co_run():
     """)
     findings = analyze_modules([("pkg/mod_a.py", a), ("pkg/mod_b.py", b)])
     assert [f.code for f in findings] == []
+
+
+# ----------------------------------------------------------------------
+# Helpers called on another object
+# ----------------------------------------------------------------------
+HELPER_ON_OTHER_OBJECT = """
+    class Server:
+        def {name}(self, machine):
+            machine.page_cache.warm(pages)
+            yield machine.sim.timeout(1.0)
+    {twin}
+    class Plane:
+        def writer_a_proc(self, sim, machine):
+            server = self.server
+            while True:
+                yield from server.{name}(machine)
+
+    def writer_b_proc(sim, machine):
+        while True:
+            machine.page_cache.invalidate_file(handle)
+            yield sim.timeout(1.0)
+"""
+
+TWIN = """
+    class Other:
+        def _helper(self, machine):
+            yield machine.sim.timeout(1.0)
+"""
+
+
+def test_private_helper_on_other_receiver_is_spliced():
+    found = codes(HELPER_ON_OTHER_OBJECT.format(name="_helper", twin=""))
+    assert "RACE201" in found
+
+
+def test_public_or_ambiguous_helper_on_other_receiver_is_not():
+    assert codes(HELPER_ON_OTHER_OBJECT.format(name="helper",
+                                               twin="")) == []
+    assert codes(HELPER_ON_OTHER_OBJECT.format(name="_helper",
+                                               twin=TWIN)) == []
+
+
+def test_serve_worker_summary_has_its_job_accesses():
+    """``ResiliencePlane.worker_proc`` runs every job through
+    ``server._process_job``; the splice brings that pipeline's accesses
+    (the replica's GPU allocation among them) into its summary."""
+    from pathlib import Path
+
+    import repro
+    from repro.analysis.linter import iter_python_files
+    from repro.analysis.races import (
+        _Analysis,
+        _collect_processes,
+        _parse_module,
+    )
+
+    modules = [_parse_module(str(p), Path(p).read_text(encoding="utf-8"))
+               for p in iter_python_files([Path(repro.__file__).parent])]
+    workers = [p for p in _collect_processes(_Analysis(modules))
+               if p.qual == "ResiliencePlane.worker_proc"]
+    assert len(workers) == 1
+    keys = {a.key for a in workers[0].summary.accesses}
+    assert "machine.gpus[]" in keys

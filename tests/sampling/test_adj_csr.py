@@ -1,9 +1,13 @@
 """``LayerAdj`` builds its CSR operators directly from the edge arrays;
-the result must equal the COO-built matrix byte for byte.
+the result must equal the COO-built scipy matrix byte for byte.
 
-The reference below is the COO route the direct build replaced:
+The reference below is scipy's COO route:
 ``scipy.sparse.csr_matrix((vals, (rows, cols)))``, which converts COO to
-CSR and canonicalises (sorted columns, duplicates summed).
+CSR and canonicalises (sorted columns, duplicates summed).  scipy sorts
+each row's columns with ``std::sort``, a stable insertion sort up to 16
+entries and an unstable introsort above that, so a row with more than
+16 entries that merges unequal values has no defined scipy order; those
+rows are checked against :func:`merge_in_input_order` instead.
 """
 
 import numpy as np
@@ -16,6 +20,7 @@ from repro.core.base import TrainConfig
 from repro.machine import Machine, MachineSpec
 from repro.sampling.neighbor import NeighborSampler
 from repro.sampling.subgraph import LayerAdj
+from repro.tensor.sparse import CSRMatrix
 
 
 def coo_mean(layer):
@@ -32,7 +37,7 @@ def coo_sum(layer):
                          shape=(layer.num_dst, layer.num_src))
 
 
-def coo_gcn(layer):
+def gcn_triplets(layer):
     d_dst = np.bincount(layer.dst_pos,
                         minlength=layer.num_dst).astype(np.float32)
     d_src = np.bincount(layer.src_pos,
@@ -43,6 +48,11 @@ def coo_gcn(layer):
     rows = np.concatenate([layer.dst_pos, loops])
     cols = np.concatenate([layer.src_pos, loops])
     vals = np.concatenate([w, 1.0 / (d_dst + 1.0)]).astype(np.float32)
+    return rows, cols, vals
+
+
+def coo_gcn(layer):
+    rows, cols, vals = gcn_triplets(layer)
     return sp.csr_matrix((vals, (rows, cols)),
                          shape=(layer.num_dst, layer.num_src))
 
@@ -61,10 +71,43 @@ def assert_same_as_coo(layers):
     for layer in layers:
         for method, reference in PAIRS:
             got, want = getattr(layer, method)(), reference(layer)
-            assert isinstance(got, sp.csr_matrix)
+            assert isinstance(got, CSRMatrix)
             assert got.shape == want.shape
-            assert got.has_canonical_format
             assert _bytes(got) == _bytes(want), method
+
+
+def merge_in_input_order(rows, cols, vals, num_rows):
+    """Per row: the entries stably sorted by column, each run of one
+    column added up in input order.  Returns (indptr, indices, data)
+    as lists."""
+    per_row = [[] for _ in range(num_rows)]
+    for r, c, v in zip(rows.tolist(), cols.tolist(), vals):
+        per_row[r].append((c, v))
+    indptr, indices, data = [0], [], []
+    for entries in per_row:
+        entries.sort(key=lambda e: e[0])
+        for c, v in entries:
+            if len(indices) > indptr[-1] and indices[-1] == c:
+                data[-1] = data[-1] + v
+            else:
+                indices.append(c)
+                data.append(v)
+        indptr.append(len(indices))
+    return indptr, indices, data
+
+
+def unordered_in_scipy(rows, cols, vals, num_rows):
+    """Rows whose scipy merge order is undefined: more than 16 entries
+    and at least one column repeated with unequal values."""
+    out = []
+    for r in range(num_rows):
+        mine = rows == r
+        if mine.sum() <= 16:
+            continue
+        c, v = cols[mine], vals[mine]
+        if any(len(np.unique(v[c == col])) > 1 for col in np.unique(c)):
+            out.append(r)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -127,4 +170,34 @@ def test_random_multigraph_layers():
         n_e = int(rng.integers(0, 200))
         layers.append(LayerAdj(rng.integers(0, n_src, n_e),
                                rng.integers(0, n_dst, n_e), n_src, n_dst))
-    assert_same_as_coo(layers)
+    # Row 0 holds 20 draws, one of them the self-edge 0 -> 0, which the
+    # GCN operator merges with its self-loop of another weight.
+    src = np.concatenate([[0], rng.integers(1, 40, 19), [3, 4]])
+    dst = np.concatenate([np.zeros(20, np.int64), [1, 2]])
+    layers.append(LayerAdj(src, dst, 40, 3))
+
+    unordered = 0
+    for layer in layers:
+        for method, reference in PAIRS[:2]:
+            got, want = getattr(layer, method)(), reference(layer)
+            assert isinstance(got, CSRMatrix)
+            assert _bytes(got) == _bytes(want), method
+        got, want = layer.gcn_matrix(), coo_gcn(layer)
+        assert isinstance(got, CSRMatrix) and got.shape == want.shape
+        rows, cols, vals = gcn_triplets(layer)
+        indptr, indices, data = merge_in_input_order(rows, cols, vals,
+                                                     layer.num_dst)
+        skip = unordered_in_scipy(rows, cols, vals, layer.num_dst)
+        unordered += len(skip)
+        assert [a.dtype for a in (got.indptr, got.indices, got.data)] == [
+            a.dtype for a in (want.indptr, want.indices, want.data)]
+        assert got.indptr.tobytes() == want.indptr.tobytes()
+        for r in range(layer.num_dst):
+            lo, hi = got.indptr[r], got.indptr[r + 1]
+            ref_idx = np.array(indices[lo:hi], dtype=np.int32)
+            ref_val = np.array(data[lo:hi], dtype=np.float32)
+            if r not in skip:
+                ref_idx, ref_val = want.indices[lo:hi], want.data[lo:hi]
+            assert got.indices[lo:hi].tobytes() == ref_idx.tobytes()
+            assert got.data[lo:hi].tobytes() == ref_val.tobytes()
+    assert unordered >= 1

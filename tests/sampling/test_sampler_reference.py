@@ -3,8 +3,9 @@
 :func:`reference_sample` is the sampler's original relabel, kept here as
 a test oracle: each hop finds its new ids with ``np.setdiff1d`` and maps
 every draw to its position with a stable ``argsort`` and
-``searchsorted``.  Its layers carry no structure, so their operators are
-built by ``LayerAdj._csr``.  :func:`reference_frontier_pages` is the
+``searchsorted``.  Its layers carry no structure; their operators'
+reference is scipy's COO route (``tests/sampling/test_adj_csr.py``).
+:func:`reference_frontier_pages` is the
 original page accounting, through per-node byte spans (the removed
 ``CSCGraph.touched_index_bytes``) and ``np.unique``.
 
@@ -15,7 +16,6 @@ sizes, its mean, sum and GCN operators, and every hop's pages.
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.core.sampling_io import INDEX_ITEMSIZE, frontier_pages
 from repro.graph import csc_from_edges, make_dataset
@@ -24,6 +24,8 @@ from repro.sampling import LayerAdj, NeighborSampler, SampledSubgraph
 from repro.simcore import Simulator
 from repro.storage import SSDDevice, SSDSpec
 from repro.storage.page_cache import PageCache
+from repro.tensor.sparse import CSRMatrix
+from tests.sampling.test_adj_csr import PAIRS
 
 
 def reference_sample(graph, fanouts, rng, seeds):
@@ -82,8 +84,7 @@ def same(a, b):
 
 
 def assert_same_matrix(got, want):
-    assert isinstance(got, sp.csr_matrix) and got.shape == want.shape
-    assert got.has_canonical_format == want.has_canonical_format
+    assert isinstance(got, CSRMatrix) and got.shape == want.shape
     for name in ("indptr", "indices", "data"):
         assert same(getattr(got, name), getattr(want, name)), name
 
@@ -99,8 +100,8 @@ def assert_same_subgraph(got, want):
         assert same(lg.src_pos, lw.src_pos)
         assert same(lg.dst_pos, lw.dst_pos)
         assert (lg.num_src, lg.num_dst) == (lw.num_src, lw.num_dst)
-        for method in ("mean_matrix", "sum_matrix", "gcn_matrix"):
-            assert_same_matrix(getattr(lg, method)(), getattr(lw, method)())
+        for method, coo in PAIRS:
+            assert_same_matrix(getattr(lg, method)(), coo(lw))
 
 
 def page_cache(page_size=4096):

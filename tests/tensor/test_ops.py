@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.tensor import (
     Tensor,
@@ -23,6 +22,7 @@ from repro.tensor import (
     softmax_cross_entropy,
     spmm,
 )
+from repro.tensor.sparse import CSRMatrix
 from tests.tensor.gradcheck import check_grad
 
 RNG = np.random.default_rng(0)
@@ -108,11 +108,17 @@ def test_concat_cols_shape_mismatch():
 
 
 def test_spmm_matches_dense_and_grad():
-    adj = sp.random(6, 5, density=0.5, random_state=0, format="csr",
-                    dtype=np.float32)
+    rng = np.random.default_rng(0)
+    dense = (rng.random((6, 5)) * (rng.random((6, 5)) < 0.5)).astype(
+        np.float32)
+    rows, cols = dense.nonzero()
+    indptr = np.zeros(7, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=6), out=indptr[1:])
+    adj = CSRMatrix(indptr, cols.astype(np.int32), dense[rows, cols], (6, 5))
+    assert adj.toarray().tobytes() == dense.tobytes()
     x = RNG.standard_normal((5, 3)).astype(np.float32)
     out = spmm(adj, Tensor(x))
-    np.testing.assert_allclose(out.data, adj.toarray() @ x, rtol=1e-5)
+    np.testing.assert_allclose(out.data, dense @ x, rtol=1e-5)
     check_grad(lambda p: scalar(spmm(adj, p["x"])),
                {"x": RNG.standard_normal((5, 3))})
 
