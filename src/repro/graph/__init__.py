@@ -12,8 +12,13 @@ host budget is scaled by the same factor.
 """
 
 from repro.graph.csc import CSCGraph
-from repro.graph.build import csc_from_edges, add_self_loops, make_undirected
-from repro.graph.generators import planted_partition_edges
+from repro.graph.build import (
+    add_self_loops,
+    csc_from_edges,
+    csc_from_keys,
+    make_undirected,
+)
+from repro.graph.generators import planted_partition_edges, planted_partition_keys
 from repro.graph.labels import planted_features_and_labels
 from repro.graph.featurestore import FeatureStore
 from repro.graph.datasets import (
@@ -28,9 +33,11 @@ from repro.graph.partition import partition_nodes, edge_buckets
 __all__ = [
     "CSCGraph",
     "csc_from_edges",
+    "csc_from_keys",
     "add_self_loops",
     "make_undirected",
     "planted_partition_edges",
+    "planted_partition_keys",
     "planted_features_and_labels",
     "FeatureStore",
     "DatasetSpec",

@@ -23,10 +23,10 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.graph.build import csc_from_edges
+from repro.graph.build import csc_from_keys
 from repro.graph.csc import CSCGraph
 from repro.graph.featurestore import FeatureStore
-from repro.graph.generators import planted_partition_edges
+from repro.graph.generators import planted_partition_keys
 from repro.graph.labels import planted_features_and_labels, train_val_test_split
 from repro.storage.files import FileCatalog, FileHandle
 
@@ -49,16 +49,35 @@ class DatasetSpec:
     #: Paper-scale counterpart (for Table 1 reporting).
     paper_name: str = ""
 
+    def __post_init__(self) -> None:
+        """Reject a spec the generators cannot build, naming the field."""
+        if not 1 <= self.num_classes <= self.num_nodes:
+            raise ConfigError(
+                f"num_classes must be in [1, num_nodes={self.num_nodes}], "
+                f"got {self.num_classes}")
+        if not 0.0 <= self.homophily <= 1.0:
+            raise ConfigError(
+                f"homophily must be in [0, 1], got {self.homophily!r}")
+        if not self.noise >= 0.0:
+            raise ConfigError(f"noise must be >= 0, got {self.noise!r}")
+        if not 0.0 < self.train_frac < 1.0:
+            raise ConfigError(
+                f"train_frac must be in (0, 1), got {self.train_frac!r}")
+
     def scaled(self, scale: float) -> "DatasetSpec":
         """Shrink/grow node and edge counts by *scale* (finite, > 0)."""
         if not (scale > 0 and math.isfinite(scale)):
             raise ConfigError(
                 f"scale must be a finite number > 0, got {scale!r}")
-        return replace(
-            self,
-            num_nodes=max(64, int(self.num_nodes * scale)),
-            num_edges=max(256, int(self.num_edges * scale)),
-        )
+        try:
+            return replace(
+                self,
+                num_nodes=max(64, int(self.num_nodes * scale)),
+                num_edges=max(256, int(self.num_edges * scale)),
+            )
+        except ConfigError as exc:
+            raise ConfigError(f"{self.name} at scale {scale!r}: {exc}") \
+                from None
 
     def with_dim(self, dim: int) -> "DatasetSpec":
         if dim < 1:
@@ -204,7 +223,8 @@ def make_dataset(name_or_spec, seed: int = 0, dim: Optional[int] = None,
     Raises
     ------
     ConfigError
-        For a *scale* or *dim* out of range, before anything is generated.
+        For a *scale* or *dim* out of range, or a spec that scales to
+        fewer nodes than classes, before anything is generated.
     """
     if isinstance(name_or_spec, DatasetSpec):
         spec = name_or_spec
@@ -224,10 +244,10 @@ def make_dataset(name_or_spec, seed: int = 0, dim: Optional[int] = None,
     rng_feat = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     rng_split = np.random.default_rng(np.random.SeedSequence([seed, 3]))
 
-    src, dst, communities = planted_partition_edges(
+    keys, communities = planted_partition_keys(
         spec.num_nodes, spec.num_edges, spec.num_classes, rng_topo,
         homophily=spec.homophily)
-    graph = csc_from_edges(src, dst, spec.num_nodes)
+    graph = csc_from_keys(keys, spec.num_nodes)
     feats, labels = planted_features_and_labels(
         communities, spec.dim, rng_feat, noise=spec.noise)
     train_idx, val_idx, test_idx = train_val_test_split(

@@ -1,6 +1,6 @@
 """Synthetic graph generator with the degree skew of the paper's datasets.
 
-``planted_partition_edges`` draws every registry dataset's edges.  It
+``planted_partition_keys`` draws every registry dataset's edges.  It
 injects community structure (homophily) so the planted labels of
 :mod:`repro.graph.labels` are *learnable by a GNN*: neighbors mostly
 share a community, hence aggregation is informative and
@@ -16,17 +16,49 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.graph.build import edge_chunks
 
-def planted_partition_edges(num_nodes: int, num_edges: int, num_classes: int,
-                            rng: np.random.Generator,
-                            homophily: float = 0.8,
-                            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+
+def _skewed(rng: np.random.Generator, size: int, span) -> np.ndarray:
+    """*size* float64 positions in [0, span) with a power-law bias toward 0."""
+    u = rng.random(size)
+    np.square(u, out=u)
+    u *= span
+    return u
+
+
+def _pack(keys: np.ndarray, dst: np.ndarray, mask: np.ndarray,
+          num_nodes: int) -> None:
+    """Where *mask* holds, turn the source in *keys* into ``dst * n + src``.
+
+    A self-loop's destination moves to the next node, ``(dst + 1) % n``.
+    Entries outside *mask* are left as they are, whatever they hold.
+    """
+    dst += keys == dst
+    np.copyto(dst, 0, where=dst == num_nodes)
+    dst *= num_nodes
+    dst += keys
+    np.copyto(keys, dst, where=mask)
+
+
+def planted_partition_keys(num_nodes: int, num_edges: int, num_classes: int,
+                           rng: np.random.Generator,
+                           homophily: float = 0.8,
+                           ) -> Tuple[np.ndarray, np.ndarray]:
     """Community graph: a *homophily* fraction of edges stay in-community.
 
-    Returns ``(src, dst, communities)`` where ``communities[v]`` is the
-    planted class of node *v*.  Endpoint choice within/across communities
-    is preferential-attachment-free but degree-skewed via a Zipf-ish
-    position bias, keeping some hubs like real graphs.
+    Returns ``(keys, communities)``: edge *i*, ``src -> dst``, is the
+    int64 key ``keys[i] = dst * num_nodes + src``, and
+    ``communities[v]`` is the planted class of node *v*.  Endpoint
+    choice within/across communities is preferential-attachment-free
+    but degree-skewed via a Zipf-ish position bias, keeping some hubs
+    like real graphs.
+
+    The four uniform streams (sources, the in-community coin,
+    in-community and out-of-community destinations) are each drawn in
+    :func:`~repro.graph.build.edge_chunks`, one stream after the other,
+    exactly as four whole-array draws would be.  Besides the keys and an
+    edge-length bool mask, only a few chunk-length temporaries are live.
     """
     if not 0.0 <= homophily <= 1.0:
         raise ValueError("homophily must be in [0, 1]")
@@ -38,34 +70,46 @@ def planted_partition_edges(num_nodes: int, num_edges: int, num_classes: int,
     sorted_comm = communities[order]
     starts = np.searchsorted(sorted_comm, np.arange(num_classes))
     ends = np.searchsorted(sorted_comm, np.arange(num_classes), side="right")
+    del sorted_comm
 
-    # Intermediates are computed in place and dropped once dead, so at
-    # most about five edge-length arrays are live at a time.
-    def skewed_nodes():
-        """Nodes at positions in [0, n) with a power-law bias toward 0."""
-        u = rng.random(num_edges)
-        np.square(u, out=u)
-        u *= num_nodes
-        pos = u.astype(np.int64)
+    keys = np.empty(num_edges, dtype=np.int64)
+    in_comm = np.empty(num_edges, dtype=bool)
+    # Sources: ``keys`` holds each edge's source until its destination
+    # is drawn.
+    for a, b in edge_chunks(num_edges):
+        np.take(order, _skewed(rng, b - a, num_nodes).astype(np.int64),
+                out=keys[a:b])
+    # Which edges stay in their source's community.
+    for a, b in edge_chunks(num_edges):
+        np.less(rng.random(b - a), homophily, out=in_comm[a:b])
+    # In-community destinations; each temporary is dropped once dead.
+    for a, b in edge_chunks(num_edges):
+        comm_of_src = communities[keys[a:b]]
+        lo = starts[comm_of_src]
+        hi = ends[comm_of_src]
+        del comm_of_src
+        np.maximum(hi, lo + 1, out=hi)
+        u = _skewed(rng, b - a, hi - lo)
+        u += lo
+        del lo
+        within = u.astype(np.int64)
         del u
-        return order[pos]
+        dst = order[np.minimum(within, hi - 1, out=within)]
+        del within, hi
+        _pack(keys[a:b], dst, in_comm[a:b], num_nodes)
+    # Out-of-community destinations.
+    for a, b in edge_chunks(num_edges):
+        dst = order[_skewed(rng, b - a, num_nodes).astype(np.int64)]
+        _pack(keys[a:b], dst, ~in_comm[a:b], num_nodes)
+    return keys, communities
 
-    src = skewed_nodes()
-    in_comm = rng.random(num_edges) < homophily
-    comm_of_src = communities[src]
-    lo = starts[comm_of_src]
-    hi = ends[comm_of_src]
-    del comm_of_src
-    np.maximum(hi, lo + 1, out=hi)
-    u = rng.random(num_edges)
-    np.square(u, out=u)
-    u *= hi - lo
-    u += lo
-    within = u.astype(np.int64)
-    del u, lo
-    dst = order[np.minimum(within, hi - 1, out=within)]
-    del within, hi
-    np.copyto(dst, skewed_nodes(), where=~in_comm)
-    self_loop = src == dst
-    dst[self_loop] = (dst[self_loop] + 1) % num_nodes
+
+def planted_partition_edges(num_nodes: int, num_edges: int, num_classes: int,
+                            rng: np.random.Generator,
+                            homophily: float = 0.8,
+                            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`planted_partition_keys` as ``(src, dst, communities)``."""
+    keys, communities = planted_partition_keys(
+        num_nodes, num_edges, num_classes, rng, homophily=homophily)
+    dst, src = np.divmod(keys, num_nodes)
     return src, dst, communities

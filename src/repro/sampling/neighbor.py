@@ -9,13 +9,16 @@ free).  The paper's default is 3-hop (10, 10, 10) for GraphSAGE/GCN and
 One pass of :meth:`NeighborSampler.sample` produces everything the rest
 of the mini-batch path reads:
 
-* **Relabelling through a position map.**  Each sampler owns one int64
-  array, ``num_nodes`` long, that maps a global id to its position in
-  the call's growing node set and holds -1 outside a call.  A hop looks
-  its draws up in it, appends the unmapped ids in sorted order, maps
-  them, and looks the draws up again.  A ``finally`` clause resets
-  every entry the call wrote, so a call that raises leaves the sampler
-  clean for the next one.
+* **Relabelling through a position map.**  One int64 array per graph,
+  ``num_nodes`` long, maps a global id to its position in the call's
+  growing node set and holds -1 outside a call.  A hop looks its draws
+  up in it, appends the unmapped ids in sorted order, maps them, and
+  looks the draws up again.  A ``finally`` clause resets every entry
+  the call wrote, so a call that raises leaves the map clean for the
+  next one.  ``sample`` never yields, so no two calls overlap, and
+  every sampler of a graph (a system's sampler threads, its evaluation
+  sampler, a server's workers) shares the one map; it lives as long as
+  the graph.
 * **The aggregation operator's structure.**  Every active row of a hop
   holds exactly ``fanout`` draws, so sorting each row's block and
   merging repeats gives the canonical CSR structure that
@@ -28,6 +31,7 @@ of the mini-batch path reads:
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -50,8 +54,22 @@ def sequential_sums(weight: np.float32, n: int) -> np.ndarray:
     return sums
 
 
+#: Each graph's position map, shared by all of its samplers.
+_POSITION_MAPS: weakref.WeakKeyDictionary[CSCGraph, np.ndarray] = (
+    weakref.WeakKeyDictionary())
+
+
+def _position_map(graph: CSCGraph) -> np.ndarray:
+    """*graph*'s position map, all -1 outside a ``sample`` call."""
+    pos = _POSITION_MAPS.get(graph)
+    if pos is None:
+        pos = np.full(graph.num_nodes, -1, dtype=np.int64)
+        _POSITION_MAPS[graph] = pos
+    return pos
+
+
 class NeighborSampler:
-    """An RNG stream and a position map; one instance per sampler thread."""
+    """An RNG stream over a graph; one instance per sampler thread."""
 
     def __init__(self, graph: CSCGraph, fanouts: Sequence[int],
                  rng: np.random.Generator):
@@ -61,8 +79,8 @@ class NeighborSampler:
         self.fanouts = tuple(int(f) for f in fanouts)
         self.rng = rng
         #: Global id -> position in the current call's node set; -1
-        #: outside a call.
-        self._pos = np.full(graph.num_nodes, -1, dtype=np.int64)
+        #: outside a call.  Shared with every other sampler of *graph*.
+        self._pos = _position_map(graph)
         #: Per fanout: a mean row's merged weight, by multiplicity.
         self._mean_sums: Dict[int, np.ndarray] = {
             f: sequential_sums(np.float32(1) / np.float32(f), f)

@@ -196,7 +196,7 @@ class PageCache:
             state = self._file_list[fids[0]]
             state.resident[self._key_page[keys]] = False
             return
-        for fid in np.unique(fids):
+        for fid in sorted_unique(fids.copy()):
             state = self._file_list[fid]
             state.resident[self._key_page[keys[fids == fid]]] = False
 

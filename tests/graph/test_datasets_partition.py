@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.graph import (
     DATASET_REGISTRY,
+    DatasetSpec,
     edge_buckets,
     make_dataset,
     paper_table1,
@@ -47,16 +48,52 @@ def _no_generation(*args, **kwargs):
 @pytest.mark.parametrize("scale", [0.0, -3, float("nan"), float("inf"),
                                    float("-inf")])
 def test_make_dataset_rejects_invalid_scale(scale, monkeypatch):
-    monkeypatch.setattr(datasets, "planted_partition_edges", _no_generation)
+    monkeypatch.setattr(datasets, "planted_partition_keys", _no_generation)
     with pytest.raises(ConfigError, match="scale"):
         make_dataset("tiny", scale=scale)
 
 
 @pytest.mark.parametrize("dim", [0, -1])
 def test_make_dataset_rejects_invalid_dim(dim, monkeypatch):
-    monkeypatch.setattr(datasets, "planted_partition_edges", _no_generation)
+    monkeypatch.setattr(datasets, "planted_partition_keys", _no_generation)
     with pytest.raises(ConfigError, match="dim"):
         make_dataset("tiny", dim=dim)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("num_classes", 0),
+    ("num_classes", 2001),
+    ("homophily", -0.1),
+    ("homophily", 1.5),
+    ("homophily", float("nan")),
+    ("noise", -1.0),
+    ("noise", float("nan")),
+    ("train_frac", 0.0),
+    ("train_frac", 1.0),
+    ("train_frac", float("nan")),
+])
+def test_dataset_spec_rejects_impossible_fields(field, value, monkeypatch):
+    monkeypatch.setattr(datasets, "planted_partition_keys", _no_generation)
+    fields = dict(name="t", num_nodes=2000, num_edges=20_000, dim=32,
+                  num_classes=8)
+    fields[field] = value
+    with pytest.raises(ConfigError, match=field):
+        make_dataset(DatasetSpec(**fields))
+
+
+@pytest.mark.parametrize("name,scale", [
+    ("papers100m-mini", 1e-4),
+    ("papers100m-mini", 1e-3),   # 111 nodes for 172 classes
+    ("mag240m-mini", 1e-4),
+])
+def test_scaling_below_the_class_count_names_field_and_scale(
+        name, scale, monkeypatch):
+    monkeypatch.setattr(datasets, "planted_partition_keys", _no_generation)
+    with pytest.raises(ConfigError,
+                       match=f"{name} at scale {scale!r}: num_classes"):
+        make_dataset(name, scale=scale)
+    with pytest.raises(ConfigError, match="num_classes"):
+        DATASET_REGISTRY[name].scaled(scale)
 
 
 def test_small_positive_scale_keeps_size_floor():

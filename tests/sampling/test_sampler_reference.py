@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.sampling_io import INDEX_ITEMSIZE, frontier_pages
-from repro.graph import csc_from_edges, make_dataset
+from repro.graph import CSCGraph, csc_from_edges, make_dataset
 from repro.memory import HostMemory
 from repro.sampling import LayerAdj, NeighborSampler, SampledSubgraph
 from repro.simcore import Simulator
@@ -231,3 +231,35 @@ def test_out_of_range_seed_raises_and_leaves_sampler_clean(tiny, bad):
         pair.sampler.sample(np.array([bad, 5]))
     assert (pair.sampler._pos == -1).all()
     pair.check(np.array([5, 17]))
+
+
+def test_samplers_of_one_graph_share_one_map(tiny):
+    """Interleaved calls through one shared position map give the
+    subgraphs that samplers with maps of their own give, and a call that
+    raises leaves the shared map all -1."""
+    fanouts = [(5, 5, 5), (3, 3)]
+    shared = [NeighborSampler(tiny.graph, f, np.random.default_rng(i))
+              for i, f in enumerate(fanouts)]
+    # Each twin graph has the same topology and a map of its own.
+    alone = [NeighborSampler(CSCGraph(tiny.graph.indptr, tiny.graph.indices),
+                             f, np.random.default_rng(i))
+             for i, f in enumerate(fanouts)]
+    pos = shared[0]._pos
+    assert shared[1]._pos is pos
+    assert not any(a._pos is pos for a in alone)
+    assert alone[0]._pos is not alone[1]._pos
+    rng = np.random.default_rng(6)
+    for call in range(40):
+        i = int(rng.integers(2))
+        seeds = rng.choice(tiny.num_nodes, 8, replace=False)
+        if call % 10 == 3:
+            # A call that dies after its first hop wrote to the map.
+            real = shared[i].rng
+            shared[i].rng = FailingRng(real, draws=1)
+            with pytest.raises(RuntimeError, match="planted"):
+                shared[i].sample(seeds)
+            shared[i].rng = real
+            assert (pos == -1).all()
+            alone[i].rng.bit_generator.state = real.bit_generator.state
+        assert_same_subgraph(shared[i].sample(seeds), alone[i].sample(seeds))
+        assert (pos == -1).all()
