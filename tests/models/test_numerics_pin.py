@@ -5,7 +5,8 @@ math would pass them unnoticed.  This module pins the math itself:
 
 * the per-epoch ``loss``, ``train_acc`` and ``val_acc`` (evaluated
   after every epoch) of every training system on ``tiny`` for two
-  epochs, as ``float.hex`` strings;
+  epochs, as ``float.hex`` strings, with GraphSAGE, and of GNNDrive-GPU
+  with GCN and GAT (``MODEL_VARIANTS``);
 * SHA-256 digests of the serve plane's logits and predictions.
 
 Float32 results depend on the BLAS kernel that computed them, so these
@@ -56,6 +57,18 @@ PINNED_EPOCHS = {
         ("0x1.76d6ff0000000p+0", "0x1.70a3d70a3d70ap-1",
          "0x1.8000000000000p-1"),
     ],
+    "gnndrive-gpu-gat": [
+        ("0x1.9da5040000000p+0", "0x1.851eb851eb852p-2",
+         "0x1.0000000000000p+0"),
+        ("0x1.e06df60000000p-2", "0x1.ae147ae147ae1p-1",
+         "0x1.8000000000000p-1"),
+    ],
+    "gnndrive-gpu-gcn": [
+        ("0x1.076f0b0000000p+1", "0x1.c28f5c28f5c29p-3",
+         "0x1.0000000000000p-2"),
+        ("0x1.df5cf80000000p+0", "0x1.28f5c28f5c28fp-1",
+         "0x1.0000000000000p-2"),
+    ],
     "in-memory": [
         ("0x1.059f510000000p+1", "0x1.ae147ae147ae1p-3",
          "0x1.0000000000000p-1"),
@@ -100,6 +113,14 @@ PINNED_SIMULATED = {
         ("0x1.256702080be9cp-5", 2, 886272, 165, 38, 0, 1427, 730624),
         ("0x1.49ff0d03a20e8p-6", 2, 146944, 200, 0, 1620, 287, 146944),
     ],
+    "gnndrive-gpu-gat": [
+        ("0x1.fbb17e0a80f35p-6", 2, 830464, 165, 38, 0, 1318, 674816),
+        ("0x1.127e6b62ef259p-6", 2, 153088, 200, 0, 1361, 299, 153088),
+    ],
+    "gnndrive-gpu-gcn": [
+        ("0x1.254c8dab08685p-5", 2, 886272, 165, 38, 0, 1427, 730624),
+        ("0x1.49c894b18e956p-6", 2, 146944, 200, 0, 1620, 287, 146944),
+    ],
     "in-memory": [
         ("0x1.21281693244e3p-6", 2, 0, 0, 0, 0, 0, 0),
         ("0x1.2c38ef49aabcfp-6", 2, 0, 0, 0, 0, 0, 0),
@@ -119,6 +140,10 @@ PINNED_SIMULATED = {
 }
 #: Data-parallel workers per pinned system (one unless listed).
 NUM_WORKERS = {"multigpu": 2}
+#: Pinned keys that train another model than GraphSAGE:
+#: key -> (system, model kind).
+MODEL_VARIANTS = {"gnndrive-gpu-gat": ("gnndrive-gpu", "gat"),
+                  "gnndrive-gpu-gcn": ("gnndrive-gpu", "gcn")}
 
 PINNED_SERVE = {
     "logits":
@@ -150,9 +175,11 @@ def blas_platform():
     return np.__version__, core
 
 
-def train_run(system):
+def train_run(key):
+    system, kind = MODEL_VARIANTS.get(key, (key, "sage"))
     workers = NUM_WORKERS.get(system, 1)
-    res = run_system(system, get_dataset("tiny"), TrainConfig(), epochs=2,
+    res = run_system(system, get_dataset("tiny"),
+                     TrainConfig(model_kind=kind), epochs=2,
                      warmup_epochs=0, eval_every=1, num_workers=workers,
                      num_gpus=workers)
     assert res.ok, res.error
