@@ -31,7 +31,7 @@ def main():
 
     system = GNNDrive(
         machine, dataset,
-        TrainConfig(model_kind="sage", batch_size=20, lr=3e-3),
+        TrainConfig(model_kind="sage", batch_size=20),
         GNNDriveConfig(device="gpu"),
     )
     print(f"\nGNNDrive sized itself: {system.num_extractors} extractors, "

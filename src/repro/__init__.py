@@ -33,7 +33,6 @@ from repro.baselines import (
     MariusConfig,
     MariusGNN,
     PyGPlus,
-    PyGPlusConfig,
 )
 from repro.errors import (
     AlignmentError,
@@ -49,7 +48,7 @@ __all__ = [
     "make_dataset", "DiskDataset", "DATASET_REGISTRY",
     "GNNDrive", "GNNDriveConfig", "MultiGPUGNNDrive",
     "TrainConfig", "TrainingSystem", "EpochStats",
-    "PyGPlus", "PyGPlusConfig", "Ginex", "GinexConfig",
+    "PyGPlus", "Ginex", "GinexConfig",
     "MariusGNN", "MariusConfig",
     "ReproError", "OutOfMemoryError", "OutOfTimeError",
     "AlignmentError", "StorageError",

@@ -641,6 +641,12 @@ class _AccessCollector(ast.NodeVisitor):
             return False
         binding = self._bind_args(callee, call)
         anchor_line = self._anchor_line or call.lineno
+        # A lambda handed to the helper (``retry_on_oom(m, counter,
+        # lambda: staging.reserve(n))``) runs inside it, in this process:
+        # its accesses count from the call's first segment.
+        for arg in [*call.args, *(kw.value for kw in call.keywords)]:
+            if isinstance(arg, ast.Lambda):
+                self.visit(arg.body)
         for acc in callee.accesses:
             key, kind = acc.key, acc.kind
             if key.startswith("param:"):

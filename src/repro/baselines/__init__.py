@@ -16,13 +16,13 @@ architectural:
   epoch; minimal I/O inside an epoch.
 """
 
-from repro.baselines.pygplus import PyGPlus, PyGPlusConfig
+from repro.baselines.pygplus import PyGPlus
 from repro.baselines.ginex import Ginex, GinexConfig
 from repro.baselines.mariusgnn import MariusGNN, MariusConfig
 from repro.baselines.inmemory import InMemory
 
 __all__ = [
-    "PyGPlus", "PyGPlusConfig",
+    "PyGPlus",
     "Ginex", "GinexConfig",
     "MariusGNN", "MariusConfig",
     "InMemory",

@@ -34,7 +34,7 @@ import numpy as np
 from repro.core.base import TrainConfig, TrainingSystem, probe_batch_shape
 from repro.core.sampling_io import frontier_pages, page_access_with_retry
 from repro.errors import OutOfMemoryError
-from repro.faults import alloc_with_retry
+from repro.faults.recovery import retry_on_oom
 from repro.graph.datasets import DiskDataset
 from repro.machine import DEFAULT_SCALE, GB, Machine
 from repro.sampling import NeighborSampler
@@ -266,7 +266,9 @@ class Ginex(TrainingSystem):
         workspace = accesses * WORKSPACE_BYTES_PER_ACCESS
         # Transient fault pressure makes this workspace allocation fail
         # temporarily; back off instead of aborting the superbatch.
-        alloc = yield from alloc_with_retry(m, workspace, "ginex-inspect")
+        alloc = yield from retry_on_oom(
+            m, "alloc_retries",
+            lambda: m.host.allocate(workspace, tag="ginex-inspect"))
         yield from m.cpu_task(accesses * INSPECT_COST_PER_ACCESS)
         plan = belady_plan([s.all_nodes for s in subs], self.cache_entries)
         return alloc, plan
@@ -311,7 +313,7 @@ class Ginex(TrainingSystem):
             t0 = m.sim.now
             # sim-race: ordered -- epoch procs are sequential (each is
             # awaited before the next spawns) and pressure-edge alloc
-            # failures are retried by alloc_with_retry; both orders are
+            # failures are retried by retry_on_oom; both orders are
             # valid executions.
             alloc, (initial, miss_lists, _) = yield from self._inspect(subs)
             yield from self._init_cache(initial)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.baselines.pygplus import PyGPlus, PyGPlusConfig
+from repro.baselines.pygplus import PyGPlus
 from repro.core.base import TrainConfig
 from repro.graph.datasets import DiskDataset
 from repro.machine import Machine
@@ -32,9 +32,8 @@ class InMemory(PyGPlus):
     topology_resident = True
 
     def __init__(self, machine: Machine, dataset: DiskDataset,
-                 train_cfg: TrainConfig = TrainConfig(),
-                 config: PyGPlusConfig = PyGPlusConfig()):
-        super().__init__(machine, dataset, train_cfg, config)
+                 train_cfg: TrainConfig = TrainConfig()):
+        super().__init__(machine, dataset, train_cfg)
         # Pin the whole dataset (raises OutOfMemoryError if it cannot).
         self._data_alloc = machine.host.allocate(
             dataset.topo_nbytes() + dataset.feat_nbytes(),

@@ -20,7 +20,6 @@ time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Generator, List
 
 from repro.core.base import TrainConfig, TrainingSystem
@@ -36,18 +35,10 @@ SHUTDOWN = object()
 #: PyTorch's caching allocator fragments per-batch tensors; PyG+ also
 #: keeps a pinned host copy and a device copy of the batch features.
 ALLOCATOR_OVERHEAD = 1.5
-
-
-@dataclass(frozen=True)
-class PyGPlusConfig:
-    """PyG+ knobs (DataLoader-style)."""
-
-    num_workers: int = 4       # sampling worker threads
-    prefetch_depth: int = 8    # sampled batches queued ahead
-
-    def __post_init__(self):
-        if self.num_workers < 1 or self.prefetch_depth < 1:
-            raise ValueError("workers and prefetch must be >= 1")
+#: DataLoader-style sampling worker threads, and sampled batches they
+#: queue ahead of the main loop.
+NUM_WORKERS = 4
+PREFETCH_DEPTH = 8
 
 
 class PyGPlus(TrainingSystem):
@@ -60,14 +51,12 @@ class PyGPlus(TrainingSystem):
 
     def __init__(self, machine: Machine, dataset: DiskDataset,
                  train_cfg: TrainConfig = TrainConfig(),
-                 config: PyGPlusConfig = PyGPlusConfig(),
                  sample_only: bool = False):
         super().__init__(machine, dataset, train_cfg)
-        self.config = config
         #: Fig. 2's "-only" mode: run just the sample stage per epoch.
         self.sample_only = sample_only
         sim = machine.sim
-        self.batch_q = Store(sim, config.prefetch_depth, "prefetch")
+        self.batch_q = Store(sim, PREFETCH_DEPTH, "prefetch")
         self._actors: List = []
         self._started = False
         # Model + optimizer state live on the GPU.
@@ -117,7 +106,7 @@ class PyGPlus(TrainingSystem):
         sim = self.machine.sim
         if not self._started:
             self.pending_q = Store(sim, name="pyg-pending")
-            for i in range(self.config.num_workers):
+            for i in range(NUM_WORKERS):
                 self._actors.append(sim.process(self._sampler_proc(i),
                                                 name=f"pyg-sampler{i}"))
             self._started = True

@@ -19,7 +19,6 @@ from repro.baselines import (
     MariusConfig,
     MariusGNN,
     PyGPlus,
-    PyGPlusConfig,
 )
 from repro.core import GNNDrive, GNNDriveConfig, MultiGPUGNNDrive
 from repro.core.base import TrainConfig
@@ -80,7 +79,7 @@ EXTRA_SYSTEMS = ("in-memory", "multigpu")
 
 def build_system(system: str, machine: Machine, dataset: DiskDataset,
                  train_cfg: TrainConfig, sample_only: bool = False,
-                 num_workers: int = 1, ginex_config: Optional[GinexConfig] = None,
+                 num_workers: int = 1,
                  gnndrive_config: Optional[GNNDriveConfig] = None):
     """Instantiate a system under test by name."""
     if system in ("gnndrive-gpu", "gnndrive-cpu"):
@@ -92,12 +91,10 @@ def build_system(system: str, machine: Machine, dataset: DiskDataset,
         return GNNDrive(machine, dataset, train_cfg, cfg,
                         sample_only=sample_only)
     if system == "pyg+":
-        return PyGPlus(machine, dataset, train_cfg, PyGPlusConfig(),
-                       sample_only=sample_only)
+        return PyGPlus(machine, dataset, train_cfg, sample_only=sample_only)
     if system == "ginex":
-        cfg = ginex_config or GinexConfig.for_host(
-            machine.spec.host_capacity)
-        return Ginex(machine, dataset, train_cfg, cfg,
+        return Ginex(machine, dataset, train_cfg,
+                     GinexConfig.for_host(machine.spec.host_capacity),
                      sample_only=sample_only)
     if system == "mariusgnn":
         return MariusGNN(machine, dataset, train_cfg, MariusConfig())
@@ -141,9 +138,7 @@ def run_system(system: str, dataset: DiskDataset,
                num_gpus: int = 1,
                time_budget: Optional[float] = None,
                eval_every: int = 0,
-               target_accuracy: Optional[float] = None,
                machine_spec: Optional[MachineSpec] = None,
-               ginex_config: Optional[GinexConfig] = None,
                gnndrive_config: Optional[GNNDriveConfig] = None,
                keep_machine: bool = False,
                sanitize: bool = False,
@@ -177,12 +172,10 @@ def run_system(system: str, dataset: DiskDataset,
     try:
         sut = build_system(system, machine, dataset, train_cfg,
                            sample_only=sample_only, num_workers=num_workers,
-                           ginex_config=ginex_config,
                            gnndrive_config=gnndrive_config)
         stats = sut.run_epochs(warmup_epochs + epochs,
                                time_budget=time_budget,
-                               eval_every=eval_every,
-                               target_accuracy=target_accuracy)
+                               eval_every=eval_every)
         sut.shutdown()
         mean_t = mean_epoch_time(stats, skip_first=warmup_epochs > 0)
         return SystemResult(system, "ok", mean_t, stats,

@@ -25,6 +25,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 import numpy as np
 
 from repro.core.stats import EpochStats, StageBreakdown
+from repro.errors import ConfigError
 from repro.graph.datasets import DiskDataset
 from repro.machine import Machine
 from repro.models import Adam, make_model
@@ -39,6 +40,11 @@ FLOAT_BYTES = 4
 OPTIMIZER_STATE_FACTOR = 3
 #: Counters an epoch reports in ``EpochStats.extra`` rather than a field.
 EXTRA_COUNTERS = ("feat_bytes_read", "feat_cache_hits", "feat_cache_misses")
+#: The paper's three models (§5 "GNN Models").
+MODEL_KINDS = ("sage", "gcn", "gat")
+#: Hidden dimension of every model (§5) and Adam's learning rate.
+HIDDEN_DIM = 256
+LR = 3e-3
 
 
 def scaled_default_fanouts(kind: str) -> Tuple[int, ...]:
@@ -52,15 +58,21 @@ class TrainConfig:
 
     model_kind: str = "sage"
     batch_size: int = 50
-    hidden_dim: int = 256
     num_layers: int = 3
-    lr: float = 3e-3
     fanouts: Optional[Tuple[int, ...]] = None  # None -> scaled default
     seed: int = 0
-    #: Extra keywords for the model factory, e.g. (("aggr", "max"),) for
-    #: GraphSAGE or (("heads", 4),) for GAT.  A tuple of pairs so the
-    #: config stays hashable/frozen.
-    model_kwargs: Tuple[Tuple[str, object], ...] = ()
+
+    def __post_init__(self):
+        if self.model_kind.lower() not in MODEL_KINDS:
+            raise ConfigError(f"model_kind must be one of {MODEL_KINDS}, "
+                              f"got {self.model_kind!r}")
+        for name in ("batch_size", "num_layers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(
+                    f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if self.fanouts and min(self.fanouts) < 1:
+            raise ConfigError(
+                f"fanouts must be positive, got {self.fanouts!r}")
 
     def resolved_fanouts(self) -> Tuple[int, ...]:
         return tuple(self.fanouts) if self.fanouts else scaled_default_fanouts(
@@ -82,7 +94,7 @@ def model_layout(dataset: DiskDataset, train_cfg: TrainConfig
             f"fanouts {fanouts} do not match "
             f"{train_cfg.num_layers} model layers")
     return fanouts, ComputeCostModel.model_dims(
-        train_cfg.model_kind, dataset.dim, train_cfg.hidden_dim,
+        train_cfg.model_kind, dataset.dim, HIDDEN_DIM,
         dataset.num_classes, train_cfg.num_layers)
 
 
@@ -90,9 +102,8 @@ def build_model(dataset: DiskDataset, train_cfg: TrainConfig):
     """The NumPy model *train_cfg* describes on *dataset*, initialised
     from ``train_cfg.seed``."""
     return make_model(
-        train_cfg.model_kind, dataset.dim, train_cfg.hidden_dim,
-        dataset.num_classes, train_cfg.num_layers, seed=train_cfg.seed,
-        **dict(train_cfg.model_kwargs))
+        train_cfg.model_kind, dataset.dim, HIDDEN_DIM,
+        dataset.num_classes, train_cfg.num_layers, seed=train_cfg.seed)
 
 
 def probe_batch_shape(dataset: DiskDataset, fanouts, batch_size: int,
@@ -157,7 +168,7 @@ class TrainingSystem:
         self.fanouts, self.dims = model_layout(dataset, train_cfg)
         if self.owns_model:
             self.model = build_model(dataset, train_cfg)
-            self.optimizer = Adam(self.model.parameters(), lr=train_cfg.lr)
+            self.optimizer = Adam(self.model.parameters(), lr=LR)
         self.plan = MinibatchPlan(
             dataset.train_idx, train_cfg.batch_size,
             self.streams.get("minibatch-shuffle"))
@@ -261,10 +272,9 @@ class TrainingSystem:
                 "feat_cache_misses": cache.misses_for(feat)}
 
     def run_epochs(self, num_epochs: int,
-                   target_accuracy: Optional[float] = None,
                    time_budget: Optional[float] = None,
                    eval_every: int = 0) -> List[EpochStats]:
-        """Train for *num_epochs* (or until *target_accuracy*).
+        """Train for *num_epochs*.
 
         Returns one :class:`EpochStats` per completed epoch.  Raises
         :class:`OutOfTimeError` instead of dispatching an event past
@@ -307,10 +317,6 @@ class TrainingSystem:
                     and not self.sample_only):
                 stats.val_acc = self.evaluate()
             self.epoch_stats.append(stats)
-            if (target_accuracy is not None
-                    and not np.isnan(stats.val_acc)
-                    and stats.val_acc >= target_accuracy):
-                break
         return self.epoch_stats
 
     def shutdown(self) -> None:

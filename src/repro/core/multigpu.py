@@ -146,16 +146,10 @@ class MultiGPUGNNDrive(TrainingSystem):
             usable = (min_len // train_cfg.batch_size) * train_cfg.batch_size
             usable = max(usable, train_cfg.batch_size if min_len >= train_cfg.batch_size else min_len)
 
-        self.workers: List[GNNDrive] = []
-        for k in range(num_workers):
-            seg_cfg = train_cfg.with_(seed=train_cfg.seed)
-            worker = GNNDrive(
-                machine,
-                _dataset_view(dataset, segments[k][:usable]),
-                seg_cfg,
-                config.with_(gpu_id=k if config.device == "gpu" else 0),
-                shared=self.shared, worker_id=k)
-            self.workers.append(worker)
+        self.workers: List[GNNDrive] = [
+            GNNDrive(machine, _dataset_view(dataset, segments[k][:usable]),
+                     train_cfg, config, shared=self.shared, worker_id=k)
+            for k in range(num_workers)]
         # Worker 0's model is representative (all replicas identical).
         self.model = self.workers[0].model
         self.shared.sync_group = GradientSyncGroup(

@@ -23,6 +23,7 @@ from typing import Generator
 import numpy as np
 
 from repro.arrays import sorted_unique
+from repro.faults.recovery import MAX_RETRIES, backoff_delay
 from repro.graph.csc import CSCGraph
 from repro.graph.datasets import DiskDataset
 from repro.sampling.neighbor import NeighborSampler
@@ -86,11 +87,10 @@ def page_access_with_retry(machine, cache: PageCache, handle: FileHandle,
         return value
     dropped = cache.last_dropped_pages
     value = yield from machine.io_wait(ev)
-    policy = machine.faults.retry_policy
     ledger = machine.faults.ledger
     attempt = 0
-    while len(dropped) and attempt < policy.max_retries:
-        delay = policy.delay(attempt)
+    while len(dropped) and attempt < MAX_RETRIES:
+        delay = backoff_delay(attempt)
         ledger.sampler_retries += 1
         ledger.backoff_time += delay
         yield machine.sim.timeout(delay)

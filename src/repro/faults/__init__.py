@@ -3,8 +3,7 @@
 Public surface::
 
     from repro.faults import (FaultSpec, FaultPlan, FaultInjector,
-                              FaultLedger, RetryPolicy, load_plan,
-                              default_chaos_plan)
+                              FaultLedger, load_plan, default_chaos_plan)
 
 Configure a machine with ``MachineSpec(faults=plan)`` (or
 ``repro run --faults plan.json``); every draw is keyed by (plan seed,
@@ -26,7 +25,6 @@ from repro.faults.plan import (
     default_shard_chaos_plan,
     load_plan,
 )
-from repro.faults.recovery import HedgePolicy, RetryPolicy, alloc_with_retry
 
 __all__ = [
     "EAGAIN",
@@ -39,9 +37,6 @@ __all__ = [
     "FaultLedger",
     "FaultPlan",
     "FaultSpec",
-    "HedgePolicy",
-    "RetryPolicy",
-    "alloc_with_retry",
     "default_chaos_plan",
     "default_replica_chaos_plan",
     "default_shard_chaos_plan",

@@ -23,7 +23,6 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.faults.plan import (REPLICA_KINDS, SHARD_KINDS, FaultPlan,
                                FaultSpec)
-from repro.faults.recovery import RetryPolicy
 from repro.simcore.rand import RandomStreams
 
 
@@ -155,12 +154,10 @@ class FaultInjector:
     the event heap and cannot perturb scheduling on its own.
     """
 
-    def __init__(self, plan: FaultPlan,
-                 retry_policy: Optional[RetryPolicy] = None):
+    def __init__(self, plan: FaultPlan):
         self.plan = plan
         self.streams = RandomStreams(plan.seed)
         self.ledger = FaultLedger()
-        self.retry_policy = retry_policy or RetryPolicy()
         self._timing: List[FaultSpec] = [
             s for s in plan.specs if s.kind in ("tail_latency", "throttle")]
         self._read_err: List[FaultSpec] = [

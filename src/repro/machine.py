@@ -37,14 +37,17 @@ DEFAULT_SCALE = 1e-3
 
 GB = 1024 ** 3
 
+#: Cores of the testbed's two Xeon CPUs, pooled into one resource.
+CPU_CORES = 16
+#: Fixed per-transfer latency of every PCIe link (seconds).
+PCIE_LATENCY = 10e-6
+
 
 @dataclass(frozen=True)
 class MachineSpec:
     """Hardware configuration of a simulated machine."""
 
     host_capacity: int
-    host_reserve: int = 0
-    cpu_cores: int = 16
     num_gpus: int = 1
     #: Device memory scales by 1/250 rather than 1/1000: feature records
     #: keep their real byte size (dim x 4 B does not shrink with graph
@@ -54,9 +57,7 @@ class MachineSpec:
     gpu_capacity: int = int(24 * GB * DEFAULT_SCALE * 4)
     ssd: SSDSpec = PM883
     pcie_bandwidth: float = 12e9
-    pcie_latency: float = 10e-6
     gpu_profile: DeviceProfile = GPU_RTX3090
-    cpu_profile: DeviceProfile = CPU_XEON
     #: Multiplier on per-edge/per-node sampling compute costs; >1 models
     #: older, slower CPUs (the Fig. 13 machine's 2012-era Xeons).
     sample_cost_scale: float = 1.0
@@ -83,13 +84,6 @@ class MachineSpec:
         if self.host_capacity <= 0:
             raise ConfigError(
                 f"host_capacity must be positive, got {self.host_capacity!r}")
-        if not 0 <= self.host_reserve < self.host_capacity:
-            raise ConfigError(
-                f"host_reserve must be in [0, host_capacity), "
-                f"got {self.host_reserve!r}")
-        if self.cpu_cores < 1:
-            raise ConfigError(
-                f"cpu_cores must be >= 1, got {self.cpu_cores!r}")
         if self.num_gpus < 1:
             raise ConfigError(
                 f"num_gpus must be >= 1, got {self.num_gpus!r}")
@@ -101,10 +95,6 @@ class MachineSpec:
             raise ConfigError(
                 f"pcie_bandwidth must be a positive finite number, "
                 f"got {self.pcie_bandwidth!r}")
-        if self.pcie_latency < 0 or not math.isfinite(self.pcie_latency):
-            raise ConfigError(
-                f"pcie_latency must be a non-negative finite number, "
-                f"got {self.pcie_latency!r}")
         if not self.sample_cost_scale > 0 \
                 or not math.isfinite(self.sample_cost_scale):
             raise ConfigError(
@@ -140,21 +130,21 @@ class Machine:
     def __init__(self, spec: MachineSpec):
         self.spec = spec
         self.sim = Simulator()
-        self.host = HostMemory(spec.host_capacity, spec.host_reserve)
+        self.host = HostMemory(spec.host_capacity)
         self.ssd = SSDDevice(self.sim, spec.ssd)
         self.catalog = FileCatalog()
         self.page_cache = PageCache(self.sim, self.host, self.ssd)
-        self.cpu = Resource(self.sim, spec.cpu_cores, "cpu")
+        self.cpu = Resource(self.sim, CPU_CORES, "cpu")
         self.gpus: List[DeviceMemory] = [
             DeviceMemory(spec.gpu_capacity, name=f"gpu{i}")
             for i in range(spec.num_gpus)
         ]
         self.pcie: List[PCIeLink] = [
-            PCIeLink(self.sim, spec.pcie_bandwidth, spec.pcie_latency,
+            PCIeLink(self.sim, spec.pcie_bandwidth, PCIE_LATENCY,
                      name=f"pcie{i}")
             for i in range(spec.num_gpus)
         ]
-        self.probe = UtilizationProbe(self.sim, cpu_capacity=spec.cpu_cores,
+        self.probe = UtilizationProbe(self.sim, cpu_capacity=CPU_CORES,
                                       gpu_capacity=max(1, spec.num_gpus))
         self.gpu_busy: List[IntervalRecorder] = [
             IntervalRecorder(self.sim, 1, f"gpu{i}")
@@ -195,7 +185,7 @@ class Machine:
         k = spec.sample_cost_scale
         self.gpu_cost = ComputeCostModel(spec.gpu_profile)
         self.cpu_cost = ComputeCostModel(
-            spec.cpu_profile,
+            CPU_XEON,
             sample_edge_cost=8e-6 * k,
             sample_node_cost=2e-6 * k)
 

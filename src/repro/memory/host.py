@@ -42,18 +42,12 @@ class HostMemory:
     capacity:
         Total physical bytes (the paper's default machine has 32 GB; the
         scaled datasets use a proportionally scaled budget).
-    reserve:
-        Bytes the OS and runtime always keep (never available to either
-        pinned allocations or page cache).
     """
 
-    def __init__(self, capacity: int, reserve: int = 0):
+    def __init__(self, capacity: int):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        if not 0 <= reserve < capacity:
-            raise ValueError(f"reserve must be in [0, capacity), got {reserve}")
         self.capacity = int(capacity)
-        self.reserve = int(reserve)
         self._pinned = 0
         self._fault_pressure = 0
         self._next_id = 0
@@ -79,12 +73,11 @@ class HostMemory:
     @property
     def available(self) -> int:
         """Bytes available for new pinned allocations (incl. reclaimable cache)."""
-        return self.capacity - self.reserve - self._pinned - self._fault_pressure
+        return self.capacity - self._pinned - self._fault_pressure
 
     def cache_budget(self) -> int:
         """Bytes the OS page cache may occupy right now (free memory)."""
-        return max(0, self.capacity - self.reserve - self._pinned
-                   - self._fault_pressure)
+        return max(0, self.capacity - self._pinned - self._fault_pressure)
 
     def usage_by_tag(self) -> Dict[str, int]:
         """Pinned bytes per allocation tag, for memory-footprint reports."""
@@ -192,10 +185,10 @@ class HostMemory:
             raise SimulationError(
                 f"tag table {self._by_tag} disagrees with live "
                 f"allocations {by_tag}")
-        if self._pinned > self.capacity - self.reserve:
+        if self._pinned > self.capacity:
             raise SimulationError(
                 f"pinned {self._pinned} B exceeds budget "
-                f"{self.capacity - self.reserve} B")
+                f"{self.capacity} B")
         if self._fault_pressure < 0:
             raise SimulationError(
                 f"negative fault pressure: {self._fault_pressure}")

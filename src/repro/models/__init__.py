@@ -1,8 +1,11 @@
-"""GNN models, optimizers, and the compute-cost model.
+"""GNN models, the optimizer, and the compute-cost model.
 
 The three models match the paper's evaluation (§5 "GNN Models"): 3-layer
-GraphSAGE, GCN, and GAT with hidden dimension 256; sampling fanouts
-(10, 10, 10) for SAGE/GCN and (10, 10, 5) for GAT.  Forward/backward run
+GraphSAGE (mean aggregation), GCN, and single-head GAT with hidden
+dimension 256, trained with Adam.  The paper samples with fanouts
+(10, 10, 10) for SAGE/GCN and (10, 10, 5) for GAT; the 1/1000-scale
+datasets use the scaled fanouts of
+:func:`repro.core.base.scaled_default_fanouts`.  Forward/backward run
 for real on the autograd engine; *simulated durations* come from
 :mod:`repro.models.costmodel` so the trainer actor can charge GPU/CPU
 time consistently with the paper's hardware ratios.
@@ -12,40 +15,30 @@ from repro.models.module import Module, Parameter, Linear
 from repro.models.sage import GraphSAGE
 from repro.models.gcn import GCN
 from repro.models.gat import GAT
-from repro.models.optim import SGD, Adam
+from repro.models.optim import Adam
 from repro.models.costmodel import ComputeCostModel, DeviceProfile, GPU_RTX3090, GPU_K80, CPU_XEON
-from repro.models.train import train_step, evaluate, accuracy
+from repro.models.train import train_step, accuracy
 
 __all__ = [
     "Module", "Parameter", "Linear",
     "GraphSAGE", "GCN", "GAT",
-    "SGD", "Adam",
+    "Adam",
     "ComputeCostModel", "DeviceProfile",
     "GPU_RTX3090", "GPU_K80", "CPU_XEON",
-    "train_step", "evaluate", "accuracy",
+    "train_step", "accuracy",
 ]
 
 
 def make_model(kind: str, in_dim: int, hidden_dim: int, num_classes: int,
-               num_layers: int = 3, seed: int = 0, **kw):
-    """Factory used by systems and benchmarks: 'sage' | 'gcn' | 'gat'.
-
-    Extra keywords reach the model class — e.g. ``aggr='max'`` for
-    GraphSAGE or ``heads=4`` for GAT.
-    """
+               num_layers: int = 3, seed: int = 0):
+    """Factory used by systems and benchmarks: 'sage' | 'gcn' | 'gat'."""
     kind = kind.lower()
     import numpy as np
     rng = np.random.default_rng(np.random.SeedSequence([seed, 99]))
     if kind in ("sage", "graphsage"):
-        return GraphSAGE(in_dim, hidden_dim, num_classes, num_layers, rng,
-                         **kw)
+        return GraphSAGE(in_dim, hidden_dim, num_classes, num_layers, rng)
     if kind == "gcn":
-        return GCN(in_dim, hidden_dim, num_classes, num_layers, rng, **kw)
+        return GCN(in_dim, hidden_dim, num_classes, num_layers, rng)
     if kind == "gat":
-        return GAT(in_dim, hidden_dim, num_classes, num_layers, rng, **kw)
+        return GAT(in_dim, hidden_dim, num_classes, num_layers, rng)
     raise ValueError(f"unknown model kind {kind!r}")
-
-
-def default_fanouts(kind: str):
-    """Paper §5: (10,10,10) for SAGE/GCN, (10,10,5) for GAT."""
-    return (10, 10, 5) if kind.lower() == "gat" else (10, 10, 10)

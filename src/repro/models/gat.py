@@ -1,20 +1,17 @@
-"""GAT (Veličković et al., 2018) with configurable attention heads.
+"""GAT (Veličković et al., 2018) with one attention head per layer.
 
-Per layer and head:
-  h = W_k . x  (all source nodes)
-  e_(u->v) = LeakyReLU(a_src_k . h_u + a_dst_k . h_v)
+Per layer:
+  h = W . x  (all source nodes)
+  e_(u->v) = LeakyReLU(a_src . h_u + a_dst . h_v)
   alpha    = softmax over each destination's in-edges
   out_v    = sum_u alpha_(u->v) h_u + h_v_self
 
-Hidden layers concatenate head outputs (the paper's default); the final
-layer averages them.  Attention is the expensive part on CPU — the cost
-model charges its edge-wise ops at low CPU efficiency, reproducing the
-paper's 8-12x CPU/GPU gap for GAT (§5.1).
+Attention is the expensive part on CPU — the cost model charges its
+edge-wise ops at low CPU efficiency, reproducing the paper's 8-12x
+CPU/GPU gap for GAT (§5.1).
 """
 
 from __future__ import annotations
-
-from typing import List
 
 import numpy as np
 
@@ -23,29 +20,25 @@ from repro.sampling.subgraph import SampledSubgraph
 from repro.tensor import (
     Tensor,
     add,
-    concat_cols,
     edge_aggregate,
     edge_score,
     elu,
     gather_rows,
     leaky_relu,
-    mul_scalar,
     segment_softmax,
 )
 
 
-class GATHead(Module):
+class GATLayer(Module):
     """One attention head: projection + attention vectors."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
-                 negative_slope: float = 0.2):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         super().__init__()
         self.lin = self.add_child("lin", Linear(in_dim, out_dim, rng, bias=False))
         self.att_src = self.register("att_src",
                                      Parameter(glorot((out_dim, 1), rng).ravel()))
         self.att_dst = self.register("att_dst",
                                      Parameter(glorot((out_dim, 1), rng).ravel()))
-        self.negative_slope = negative_slope
 
     def __call__(self, h_src_in: Tensor, layer_adj) -> Tensor:
         h = self.lin(h_src_in)                       # (num_src, out)
@@ -54,67 +47,27 @@ class GATHead(Module):
             return h_dst
         scores = edge_score(h, h_dst, self.att_src, self.att_dst,
                             layer_adj.src_pos, layer_adj.dst_pos)
-        scores = leaky_relu(scores, self.negative_slope)
+        scores = leaky_relu(scores)
         alpha = segment_softmax(scores, layer_adj.dst_pos, layer_adj.num_dst)
         agg = edge_aggregate(alpha, h, layer_adj.src_pos, layer_adj.dst_pos,
                              layer_adj.num_dst)
         return add(agg, h_dst)
 
 
-class GATLayer(Module):
-    """Multi-head attention layer: concat (hidden) or average (output)."""
-
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
-                 heads: int = 1, concat: bool = True,
-                 negative_slope: float = 0.2):
-        super().__init__()
-        if heads < 1:
-            raise ValueError("heads must be >= 1")
-        if concat and out_dim % heads:
-            raise ValueError(
-                f"out_dim {out_dim} not divisible by {heads} heads")
-        self.heads = heads
-        self.concat = concat
-        head_dim = out_dim // heads if concat else out_dim
-        self.head_modules: List[GATHead] = [
-            self.add_child(f"head{k}",
-                           GATHead(in_dim, head_dim, rng, negative_slope))
-            for k in range(heads)
-        ]
-
-    def __call__(self, h_src_in: Tensor, layer_adj) -> Tensor:
-        outs = [head(h_src_in, layer_adj) for head in self.head_modules]
-        if len(outs) == 1:
-            return outs[0]
-        if self.concat:
-            result = outs[0]
-            for o in outs[1:]:
-                result = concat_cols(result, o)
-            return result
-        total = outs[0]
-        for o in outs[1:]:
-            total = add(total, o)
-        return mul_scalar(total, 1.0 / len(outs))
-
-
 class GAT(Module):
     kind = "gat"
 
     def __init__(self, in_dim: int, hidden_dim: int, num_classes: int,
-                 num_layers: int, rng: np.random.Generator, heads: int = 1):
+                 num_layers: int, rng: np.random.Generator):
         super().__init__()
         if num_layers < 1:
             raise ValueError("need at least one layer")
         self.num_layers = num_layers
-        self.heads = heads
         dims = [in_dim] + [hidden_dim] * (num_layers - 1) + [num_classes]
-        self.layers = []
-        for i in range(num_layers):
-            last = i == num_layers - 1
-            self.layers.append(self.add_child(
-                f"layer{i}",
-                GATLayer(dims[i], dims[i + 1], rng,
-                         heads=heads, concat=not last)))
+        self.layers = [
+            self.add_child(f"layer{i}", GATLayer(dims[i], dims[i + 1], rng))
+            for i in range(num_layers)
+        ]
 
     def __call__(self, features: Tensor, subgraph: SampledSubgraph) -> Tensor:
         if len(subgraph.layers) != self.num_layers:

@@ -1,92 +1,45 @@
-"""Optimizers: SGD with momentum and Adam."""
+"""The optimizer: Adam."""
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from repro.models.module import Parameter
 
+#: Adam's moment decay rates and denominator guard (Kingma & Ba's
+#: defaults, which every system trains with).
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
-class Optimizer:
-    """Base: holds parameters, applies per-parameter updates."""
 
-    def __init__(self, params: List[Parameter], lr: float):
+class Adam:
+    """Adam (Kingma & Ba) with bias correction."""
+
+    def __init__(self, params: List[Parameter], lr: float = 1e-3):
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
         if not params:
             raise ValueError("no parameters to optimize")
         self.params = list(params)
         self.lr = float(lr)
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """SGD with optional momentum and weight decay."""
-
-    def __init__(self, params: List[Parameter], lr: float = 0.01,
-                 momentum: float = 0.0, weight_decay: float = 0.0):
-        super().__init__(params, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: Optional[List[np.ndarray]] = None
-
-    def step(self) -> None:
-        if self.momentum and self._velocity is None:
-            self._velocity = [np.zeros_like(p.data) for p in self.params]
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            if self.momentum:
-                v = self._velocity[i]
-                v *= self.momentum
-                v += g
-                g = v
-            p.data -= self.lr * g
-
-
-class Adam(Optimizer):
-    """Adam (Kingma & Ba) with bias correction."""
-
-    def __init__(self, params: List[Parameter], lr: float = 1e-3,
-                 betas=(0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
-        super().__init__(params, lr)
-        b1, b2 = betas
-        if not (0 <= b1 < 1 and 0 <= b2 < 1):
-            raise ValueError("betas must be in [0, 1)")
-        self.b1, self.b2 = b1, b2
-        self.eps = eps
-        self.weight_decay = weight_decay
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
 
     def step(self) -> None:
         self._t += 1
-        bc1 = 1.0 - self.b1 ** self._t
-        bc2 = 1.0 - self.b2 ** self._t
+        bc1 = 1.0 - BETA1 ** self._t
+        bc2 = 1.0 - BETA2 ** self._t
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
             g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
             m, v = self._m[i], self._v[i]
-            m *= self.b1
-            m += (1 - self.b1) * g
-            v *= self.b2
-            v += (1 - self.b2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= BETA1
+            m += (1 - BETA1) * g
+            v *= BETA2
+            v += (1 - BETA2) * (g * g)
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)

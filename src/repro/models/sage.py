@@ -1,14 +1,10 @@
-"""GraphSAGE (Hamilton et al., 2017) with selectable aggregation.
+"""GraphSAGE (Hamilton et al., 2017) with mean aggregation.
 
-Layer ``l``:  h_dst = ReLU(W_self . h_dst_prev + W_neigh . AGG(h_neighbors))
+Layer ``l``:  h_dst = ReLU(W_self . h_dst_prev + W_neigh . MEAN(h_neighbors))
 where ``h_dst_prev = h_src[:num_dst]`` thanks to the prefix layout of
 :class:`repro.sampling.SampledSubgraph`.  Each layer, its ReLU included,
-is one fused tape node (:func:`repro.tensor.ops.sage_layer`).
-
-The original paper offers several aggregation functions (§2 of GNNDrive:
-"mean, max, sum, or more advanced functions"); this implementation
-supports ``mean`` (the evaluation default), ``max`` (element-wise
-max-pool), and ``sum``.
+is one fused tape node (:func:`repro.tensor.ops.sage_layer`).  Mean is
+the aggregator the paper's evaluation trains with.
 """
 
 from __future__ import annotations
@@ -17,34 +13,19 @@ import numpy as np
 
 from repro.models.module import Linear, Module
 from repro.sampling.subgraph import SampledSubgraph
-from repro.tensor import Tensor, sage_layer, segment_max_aggregate
-
-AGGREGATORS = ("mean", "max", "sum")
+from repro.tensor import Tensor, sage_layer
 
 
 class SAGELayer(Module):
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
-                 aggr: str = "mean"):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         super().__init__()
-        if aggr not in AGGREGATORS:
-            raise ValueError(f"aggr must be one of {AGGREGATORS}, "
-                             f"got {aggr!r}")
-        self.aggr = aggr
         self.self_lin = self.add_child("self_lin", Linear(in_dim, out_dim, rng))
         self.neigh_lin = self.add_child("neigh_lin", Linear(in_dim, out_dim, rng, bias=False))
 
     def __call__(self, h_src: Tensor, layer_adj, relu: bool = False) -> Tensor:
-        if self.aggr == "mean":
-            neigh = layer_adj.mean_matrix()
-        elif self.aggr == "sum":
-            neigh = layer_adj.sum_matrix()
-        else:  # max
-            neigh = segment_max_aggregate(h_src, layer_adj.src_pos,
-                                          layer_adj.dst_pos,
-                                          layer_adj.num_dst)
-        return sage_layer(h_src, neigh, self.self_lin.weight,
-                          self.self_lin.bias, self.neigh_lin.weight,
-                          relu=relu)
+        return sage_layer(h_src, layer_adj.mean_matrix(),
+                          self.self_lin.weight, self.self_lin.bias,
+                          self.neigh_lin.weight, relu=relu)
 
 
 class GraphSAGE(Module):
@@ -53,17 +34,14 @@ class GraphSAGE(Module):
     kind = "sage"
 
     def __init__(self, in_dim: int, hidden_dim: int, num_classes: int,
-                 num_layers: int, rng: np.random.Generator,
-                 aggr: str = "mean"):
+                 num_layers: int, rng: np.random.Generator):
         super().__init__()
         if num_layers < 1:
             raise ValueError("need at least one layer")
         self.num_layers = num_layers
-        self.aggr = aggr
         dims = [in_dim] + [hidden_dim] * (num_layers - 1) + [num_classes]
         self.layers = [
-            self.add_child(f"layer{i}",
-                           SAGELayer(dims[i], dims[i + 1], rng, aggr=aggr))
+            self.add_child(f"layer{i}", SAGELayer(dims[i], dims[i + 1], rng))
             for i in range(num_layers)
         ]
 

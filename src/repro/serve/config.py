@@ -147,7 +147,8 @@ class ServeConfig:
     #: immediately with whatever is queued (latency-optimal).
     max_wait: float = 1e-3
     #: Hedged requests (more than one replica): after a latency-quantile
-    #: delay (:class:`~repro.faults.recovery.HedgePolicy`) without a
+    #: delay (:data:`~repro.serve.resilience.HEDGE_QUANTILE`, floored at
+    #: :data:`~repro.serve.resilience.HEDGE_MIN_DELAY`) without a
     #: completion, clone the attempt onto another healthy replica;
     #: first completion wins, the loser is cancelled.
     hedge: bool = True

@@ -29,7 +29,8 @@ The recovery machinery arms only when the machine's fault plan has
   by the pending-status guard and
   :meth:`repro.core.stats.ServeStats.check_accounting`).
 * **Hedging** — with ``ServeConfig.hedge`` and more than one replica,
-  after a quantile-based delay a second attempt is launched on another
+  after a quantile-based delay (:data:`HEDGE_QUANTILE`,
+  :data:`HEDGE_MIN_DELAY`) a second attempt is launched on another
   healthy replica; first completion wins, the loser is cancelled
   (dropped from its queue, or completes as a counted discard whose
   buffer references are released normally).
@@ -50,7 +51,6 @@ from typing import Deque, Generator, List, Optional
 
 from repro.errors import InterruptError, SimulationError
 from repro.faults.plan import FaultSpec
-from repro.faults.recovery import HedgePolicy
 from repro.serve.batcher import Job
 from repro.simcore.engine import Event, Simulator
 
@@ -74,6 +74,12 @@ PROBATION_PERIOD = 4e-3
 BROWNOUT_THRESHOLD = 0.5
 BROWNOUT_DEADLINE_SCALE = 0.6
 BROWNOUT_BATCH_SCALE = 0.5
+#: Hedging: a second attempt launches once a request has waited
+#: ``max(HEDGE_MIN_DELAY, observed HEDGE_QUANTILE latency)`` without
+#: completing.  The floor keeps cold-start runs (empty latency history)
+#: from hedging every request.
+HEDGE_QUANTILE = 0.95
+HEDGE_MIN_DELAY = 2e-3
 
 
 class JobQueue:
@@ -256,9 +262,7 @@ class ResiliencePlane:
         inj = server.machine.faults
         self.injector = inj
         self.ledger = inj.ledger if inj is not None else None
-        self.hedge_policy: Optional[HedgePolicy] = None
-        if specs and cfg.hedge and cfg.num_replicas > 1:
-            self.hedge_policy = HedgePolicy()
+        self.hedging = bool(specs) and cfg.hedge and cfg.num_replicas > 1
         self.replicas: List[ReplicaState] = [
             ReplicaState(r, JobQueue(self.sim, f"serve-rjobs{r}"))
             for r in range(cfg.num_replicas)]
@@ -301,7 +305,7 @@ class ResiliencePlane:
         :data:`QUEUE_BOUND` (backpressure)."""
         att = Attempt(job=job)
         q = self.route(att).queue
-        if self.hedge_policy is not None:
+        if self.hedging:
             self.server.watch_actor(self.sim.process(
                 self._hedge_proc(att), name=f"hedge{job.batch_id}"))
         while len(q) > QUEUE_BOUND and not q.closed:
@@ -391,9 +395,9 @@ class ResiliencePlane:
     # Hedging
     # ------------------------------------------------------------------
     def _hedge_proc(self, att: Attempt) -> Generator:
-        pol = self.hedge_policy
-        observed = self.server.recorder.quantile(pol.quantile)
-        delay = pol.delay(None if math.isnan(observed) else observed)
+        observed = self.server.recorder.quantile(HEDGE_QUANTILE)
+        delay = (HEDGE_MIN_DELAY if math.isnan(observed)
+                 else max(HEDGE_MIN_DELAY, observed))
         yield self.sim.timeout(delay)
         if (att.resolved or att.cancelled or att.sibling is not None
                 or not att.has_pending()

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.core.base import (TrainConfig, activation_bytes, build_model,
                              model_layout, probe_batch_shape)
+from repro.core.config import BATCH_NODES_MARGIN
 from repro.core.sampling_io import sample_step
 from repro.core.stats import ServeStats
 from repro.core.staging import StagingBuffer
@@ -42,11 +43,6 @@ from repro.serve.resilience import BROWNOUT_DEADLINE_SCALE, ResiliencePlane
 from repro.serve.workload import Request, build_requests
 from repro.simcore import LatencyRecorder, RandomStreams
 from repro.simcore.engine import Event
-
-
-#: Safety margin on the probed max nodes per job (the role of
-#: :attr:`repro.core.config.GNNDriveConfig.batch_nodes_margin`).
-BATCH_NODES_MARGIN = 1.3
 
 
 class InferenceServer:

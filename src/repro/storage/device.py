@@ -24,6 +24,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.faults.recovery import MAX_RETRIES, backoff_delay
 from repro.simcore.engine import Simulator, Timeout
 from repro.storage.spec import SSDSpec
 
@@ -293,13 +294,13 @@ class SSDDevice:
         write: bool = False,
         handle_name: Optional[str] = None,
         offsets: Optional[np.ndarray] = None,
-        policy=None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Submit with device-level bounded retries on injected errors.
 
-        Failed requests are resubmitted after the policy's backoff
-        (modelled by deferring their earliest-start time — analytic, no
-        extra events), up to ``policy.max_retries`` rounds.  Returns
+        Failed requests are resubmitted after the shared backoff
+        (:func:`repro.faults.recovery.backoff_delay`, modelled by
+        deferring their earliest-start time — analytic, no extra
+        events), up to ``MAX_RETRIES`` rounds.  Returns
         ``(done, dropped)``: final per-request completion times and a
         boolean mask of requests that exhausted their retry budget.
         """
@@ -311,16 +312,13 @@ class SSDDevice:
         if fail is None or not fail.any():
             return done, dropped
 
-        inj = self.faults
-        ledger = inj.ledger
-        if policy is None:
-            policy = inj.retry_policy
+        ledger = self.faults.ledger
         pending = np.flatnonzero(fail)
         initial = len(pending)
         attempt = 0
         offs = None if offsets is None else np.asarray(offsets, dtype=np.int64)
-        while len(pending) and attempt < policy.max_retries:
-            delay = policy.delay(attempt)
+        while len(pending) and attempt < MAX_RETRIES:
+            delay = backoff_delay(attempt)
             ledger.retried += len(pending)
             ledger.backoff_time += delay * len(pending)
             retry_start = done[pending] + delay

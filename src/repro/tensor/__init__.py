@@ -23,9 +23,7 @@ from repro.tensor.ops import (
     relu,
     leaky_relu,
     elu,
-    dropout,
     gather_rows,
-    concat_cols,
     mul_scalar,
     spmm,
     sage_layer,
@@ -34,14 +32,12 @@ from repro.tensor.ops import (
     edge_score,
     segment_softmax,
     edge_aggregate,
-    segment_max_aggregate,
 )
 
 __all__ = [
     "Tensor", "no_grad", "is_grad_enabled", "ops",
-    "add", "matmul", "relu", "leaky_relu", "elu", "dropout",
-    "gather_rows", "concat_cols", "mul_scalar", "spmm", "sage_layer",
+    "add", "matmul", "relu", "leaky_relu", "elu",
+    "gather_rows", "mul_scalar", "spmm", "sage_layer",
     "log_softmax", "softmax_cross_entropy",
     "edge_score", "segment_softmax", "edge_aggregate",
-    "segment_max_aggregate",
 ]

@@ -11,7 +11,7 @@ index arrays are graph *constants* (no gradient); all floats are float32.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -117,28 +117,6 @@ def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
     return _make(out_data, (x,), backward, "elu")
 
 
-def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator] = None,
-            training: bool = True) -> Tensor:
-    """Inverted dropout; identity when not training or p == 0."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout p must be in [0, 1), got {p}")
-    x = as_tensor(x)
-    if not training or p == 0.0:
-        return x
-    if rng is None:
-        raise ValueError(
-            "dropout in training mode needs an explicit seeded Generator "
-            "(e.g. RandomStreams.get('dropout')); drawing OS entropy here "
-            "would make runs irreproducible")
-    keep = (rng.random(x.data.shape) >= p).astype(np.float32) / (1.0 - p)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.accumulate_grad(g * keep)
-
-    return _make(x.data * keep, (x,), backward, "dropout")
-
-
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     """Row selection ``x[idx]`` with scatter-add backward."""
     x = as_tensor(x)
@@ -152,23 +130,6 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
             x.accumulate_grad(gx)
 
     return _make(out_data, (x,), backward, "gather_rows")
-
-
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    """Column-wise concat [(n, d1) | (n, d2)]."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.shape[0] != b.data.shape[0]:
-        raise ValueError("row counts differ")
-    d1 = a.data.shape[1]
-    out_data = np.concatenate([a.data, b.data], axis=1)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g[:, :d1])
-        if b.requires_grad:
-            b.accumulate_grad(g[:, d1:])
-
-    return _make(out_data, (a, b), backward, "concat_cols")
 
 
 # ----------------------------------------------------------------------
@@ -191,15 +152,13 @@ def spmm(adj: CSRMatrix, x: Tensor) -> Tensor:
                  "spmm")
 
 
-def sage_layer(h: Tensor, neigh: CSRMatrix | Tensor, w_self: Tensor,
-               bias: Tensor, w_neigh: Tensor, relu: bool = False) -> Tensor:
+def sage_layer(h: Tensor, adj: CSRMatrix, w_self: Tensor, bias: Tensor,
+               w_neigh: Tensor, relu: bool = False) -> Tensor:
     """One GraphSAGE layer as a single tape node.
 
     Computes ``((h[:n_dst] @ w_self) + bias) + (A @ h) @ w_neigh`` and,
-    when *relu* is set, applies ReLU in place.  *neigh* is either the
-    sparse (n_dst, n_src) aggregation operator ``A`` (mean or sum) or an
-    already aggregated (n_dst, d) Tensor for aggregators that are not
-    linear in *h* (max-pool); its gradient then flows to that tensor.
+    when *relu* is set, applies ReLU in place.  *adj* is the sparse
+    (n_dst, n_src) aggregation operator ``A``.
 
     The self rows are the prefix ``h[:n_dst]`` (the sampler's layout), so
     the backward pass adds their gradient into ``gh[:n_dst]`` instead of
@@ -210,12 +169,7 @@ def sage_layer(h: Tensor, neigh: CSRMatrix | Tensor, w_self: Tensor,
     """
     h, w_self, bias, w_neigh = (as_tensor(h), as_tensor(w_self),
                                 as_tensor(bias), as_tensor(w_neigh))
-    if isinstance(neigh, Tensor):
-        agg_in, adj = neigh, None
-        agg = neigh.data
-    else:
-        agg_in, adj = None, neigh
-        agg = np.asarray(adj @ h.data, dtype=np.float32)
+    agg = np.asarray(adj @ h.data, dtype=np.float32)
     n_dst = agg.shape[0]
     h_self = h.data[:n_dst]
     out = h_self @ w_self.data
@@ -235,20 +189,12 @@ def sage_layer(h: Tensor, neigh: CSRMatrix | Tensor, w_self: Tensor,
             bias.accumulate_grad(_unbroadcast(g, bias.data.shape))
         if w_neigh.requires_grad:
             w_neigh.accumulate_grad(agg.T @ g)
-        if not (h.requires_grad
-                or (agg_in is not None and agg_in.requires_grad)):
-            return
-        g_agg = g @ w_neigh.data.T
-        if agg_in is not None and agg_in.requires_grad:
-            agg_in.accumulate_grad(g_agg)
         if h.requires_grad:
-            gh = np.zeros_like(h.data) if adj is None else adj.T @ g_agg
+            gh = adj.T @ (g @ w_neigh.data.T)
             gh[:n_dst] += g @ w_self.data.T
             h.accumulate_grad(gh)
 
-    parents = (h, w_self, bias, w_neigh) + (
-        (agg_in,) if agg_in is not None else ())
-    return _make(out, parents, backward, "sage_layer")
+    return _make(out, (h, w_self, bias, w_neigh), backward, "sage_layer")
 
 
 # ----------------------------------------------------------------------
@@ -358,39 +304,6 @@ def segment_softmax(scores: Tensor, seg_ids: np.ndarray,
             scores.accumulate_grad(weighted - alpha * seg_dot[seg_ids])
 
     return _make(alpha.astype(np.float32), (scores,), backward, "segment_softmax")
-
-
-def segment_max_aggregate(h_src: Tensor, src_idx: np.ndarray,
-                          dst_idx: np.ndarray, num_dst: int) -> Tensor:
-    """Max-pool aggregation: ``out[v][d] = max_e h[src_e][d]`` per dst.
-
-    Destinations with no edges get zeros.  The backward pass routes the
-    gradient to the maximising edge(s), split equally among exact ties
-    (a valid subgradient; ties are measure-zero for float features).
-    """
-    h_src = as_tensor(h_src)
-    src_idx = np.asarray(src_idx, dtype=np.int64)
-    dst_idx = np.asarray(dst_idx, dtype=np.int64)
-    d = h_src.data.shape[1]
-    vals = h_src.data[src_idx]                      # (E, d)
-    out = np.full((num_dst, d), -np.inf, dtype=np.float32)
-    if len(src_idx):
-        np.maximum.at(out, dst_idx, vals)
-    empty = np.isinf(out)
-    out_data = np.where(empty, 0.0, out).astype(np.float32)
-
-    def backward(g: np.ndarray) -> None:
-        if not h_src.requires_grad or not len(src_idx):
-            return
-        is_max = (vals == out[dst_idx]).astype(np.float32)
-        ties = np.zeros((num_dst, d), dtype=np.float32)
-        np.add.at(ties, dst_idx, is_max)
-        share = is_max / np.maximum(ties[dst_idx], 1.0)
-        gh = np.zeros_like(h_src.data)
-        np.add.at(gh, src_idx, share * g[dst_idx])
-        h_src.accumulate_grad(gh)
-
-    return _make(out_data, (h_src,), backward, "segment_max")
 
 
 def edge_aggregate(alpha: Tensor, h_src: Tensor, src_idx: np.ndarray,

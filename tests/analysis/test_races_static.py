@@ -309,6 +309,32 @@ def test_public_or_ambiguous_helper_on_other_receiver_is_not():
                                                twin=TWIN)) == []
 
 
+LAMBDA_TO_HELPER = """
+    def retry(machine, call):
+        while True:
+            try:
+                return call()
+            except OutOfMemoryError:
+                yield machine.sim.timeout(1.0)
+
+    def writer_a_proc(sim, machine):
+        while True:
+            yield from retry(machine, {call})
+
+    def writer_b_proc(sim, machine):
+        while True:
+            machine.page_cache.invalidate_file(handle)
+            yield sim.timeout(1.0)
+"""
+
+
+def test_lambda_handed_to_a_spliced_helper_runs_in_the_process():
+    found = codes(LAMBDA_TO_HELPER.format(
+        call="lambda: machine.page_cache.warm(pages)"))
+    assert "RACE201" in found
+    assert codes(LAMBDA_TO_HELPER.format(call="lambda: pages")) == []
+
+
 def test_serve_worker_summary_has_its_job_accesses():
     """``ResiliencePlane.worker_proc`` runs every job through
     ``server._process_job``; the splice brings that pipeline's accesses

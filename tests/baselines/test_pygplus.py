@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines import PyGPlus, PyGPlusConfig
+from repro.baselines import PyGPlus
 from repro.bench.runner import build_system
 from repro.core.base import TrainConfig
 from repro.errors import OutOfMemoryError, OutOfTimeError
@@ -11,11 +11,10 @@ from repro.graph import make_dataset
 from repro.machine import Machine, MachineSpec
 
 
-def build(host_gb=32, sample_only=False, **cfg):
+def build(host_gb=32, sample_only=False):
     ds = make_dataset("tiny", seed=0)
     m = Machine(MachineSpec.paper_scaled(host_gb=host_gb))
-    s = PyGPlus(m, ds, TrainConfig(batch_size=20),
-                PyGPlusConfig(**cfg), sample_only=sample_only)
+    s = PyGPlus(m, ds, TrainConfig(batch_size=20), sample_only=sample_only)
     return m, s
 
 
@@ -106,10 +105,3 @@ def test_out_of_time():
     _, s = build()
     with pytest.raises(OutOfTimeError):
         s.run_epochs(10, time_budget=1e-9)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        PyGPlusConfig(num_workers=0)
-    with pytest.raises(ValueError):
-        PyGPlusConfig(prefetch_depth=0)

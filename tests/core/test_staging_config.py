@@ -5,8 +5,9 @@ import pytest
 
 from repro.core import GNNDriveConfig, StagingBuffer
 from repro.core.base import TrainConfig, scaled_default_fanouts, activation_bytes
+from repro.core.config import EXTRACT_QUEUE_DEPTH, TRAIN_QUEUE_DEPTH
 from repro.core.sampling_io import frontier_pages
-from repro.errors import OutOfMemoryError
+from repro.errors import ConfigError, OutOfMemoryError
 from repro.graph import make_dataset
 from repro.memory import HostMemory
 from repro.storage.page_cache import PageCache
@@ -73,25 +74,32 @@ def test_config_defaults_match_paper():
     cfg = GNNDriveConfig()
     assert cfg.num_samplers == 4
     assert cfg.num_extractors == 4
-    assert cfg.extract_queue_depth == 6
-    assert cfg.train_queue_depth == 4
+    assert EXTRACT_QUEUE_DEPTH == 6
+    assert TRAIN_QUEUE_DEPTH == 4
     assert cfg.direct_io
 
 
 @pytest.mark.parametrize("kw", [
-    dict(num_samplers=0),
-    dict(num_extractors=0),
-    dict(num_releasers=0),
-    dict(extract_queue_depth=0),
-    dict(train_queue_depth=0),
-    dict(device="tpu"),
-    dict(feature_buffer_scale=0.5),
-    dict(io_depth=0),
-    dict(batch_nodes_margin=0.9),
+    (GNNDriveConfig, "num_samplers", dict(num_samplers=0)),
+    (GNNDriveConfig, "num_extractors", dict(num_extractors=0)),
+    (GNNDriveConfig, "device", dict(device="tpu")),
+    (GNNDriveConfig, "feature_buffer_scale", dict(feature_buffer_scale=0.5)),
+    (GNNDriveConfig, "feature_buffer_scale",
+     dict(feature_buffer_scale=float("nan"))),
+    (GNNDriveConfig, "feature_buffer_scale",
+     dict(feature_buffer_scale=float("inf"))),
+    (GNNDriveConfig, "io_depth", dict(io_depth=0)),
+    (GNNDriveConfig, "gpu_direct", dict(gpu_direct=True, device="cpu")),
+    (TrainConfig, "batch_size", dict(batch_size=0)),
+    (TrainConfig, "num_layers", dict(num_layers=0)),
+    (TrainConfig, "model_kind", dict(model_kind="foo")),
+    (TrainConfig, "fanouts", dict(fanouts=(3, 0, 3))),
 ])
 def test_config_validation(kw):
-    with pytest.raises(ValueError):
-        GNNDriveConfig(**kw)
+    """Every invalid value fails at construction, naming its field."""
+    cls, field, values = kw
+    with pytest.raises(ConfigError, match=field):
+        cls(**values)
 
 
 def test_config_with_():

@@ -25,17 +25,10 @@ def test_oom_on_overcommit():
 
 
 def test_cache_budget_is_free_memory():
-    mem = HostMemory(capacity=1000, reserve=100)
-    assert mem.cache_budget() == 900
+    mem = HostMemory(capacity=1000)
+    assert mem.cache_budget() == 1000
     mem.allocate(400)
-    assert mem.cache_budget() == 500
-
-
-def test_reserve_reduces_available():
-    mem = HostMemory(capacity=1000, reserve=200)
-    assert mem.available == 800
-    with pytest.raises(OutOfMemoryError):
-        mem.allocate(900)
+    assert mem.cache_budget() == 600
 
 
 def test_double_free_raises():
@@ -102,8 +95,6 @@ def test_peak_pinned_tracks_high_water_mark():
 def test_validation_errors():
     with pytest.raises(ValueError):
         HostMemory(capacity=0)
-    with pytest.raises(ValueError):
-        HostMemory(capacity=100, reserve=100)
     mem = HostMemory(capacity=100)
     with pytest.raises(ValueError):
         mem.allocate(-1)

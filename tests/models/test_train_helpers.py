@@ -5,7 +5,7 @@ import pytest
 
 from repro.graph import make_dataset
 from repro.models import Adam, make_model
-from repro.models.train import accuracy, evaluate, forward_backward, predict
+from repro.models.train import accuracy, forward_backward, predict
 from repro.sampling import NeighborSampler
 
 
@@ -40,17 +40,6 @@ def test_accuracy_empty_set_raises(setup):
     with pytest.raises(ValueError, match="empty"):
         accuracy(model, sampler, ds.features.features,
                  np.array([], dtype=np.int64), ds.labels)
-
-
-def test_evaluate_alias_matches_accuracy(setup):
-    ds, sampler, model = setup
-    nodes = ds.val_idx[:50]
-    # Same RNG state for both calls: clone samplers.
-    s1 = NeighborSampler(ds.graph, (3, 3), np.random.default_rng(9))
-    s2 = NeighborSampler(ds.graph, (3, 3), np.random.default_rng(9))
-    a = accuracy(model, s1, ds.features.features, nodes, ds.labels)
-    b = evaluate(model, s2, ds.features.features, nodes, ds.labels)
-    assert a == b
 
 
 def test_accuracy_feature_fetch_hook(setup):

@@ -320,7 +320,7 @@ def test_unarmed_plane_runs_router_and_workers_only():
     spawned = []
     server.watch_actor = spawned.append
     try:
-        assert server.resilience.hedge_policy is None
+        assert not server.resilience.hedging
         stats = server.run()
         names = [p.name for p in server._actors]
     finally:

@@ -6,8 +6,6 @@ import pytest
 from repro.tensor import (
     Tensor,
     add,
-    concat_cols,
-    dropout,
     edge_aggregate,
     edge_score,
     elu,
@@ -95,18 +93,6 @@ def test_gather_rows_grad_with_repeats():
     )
 
 
-def test_concat_cols_grad():
-    check_grad(
-        lambda p: scalar(concat_cols(p["a"], p["b"])),
-        {"a": RNG.standard_normal((3, 2)), "b": RNG.standard_normal((3, 4))},
-    )
-
-
-def test_concat_cols_shape_mismatch():
-    with pytest.raises(ValueError):
-        concat_cols(Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2))))
-
-
 def test_spmm_matches_dense_and_grad():
     rng = np.random.default_rng(0)
     dense = (rng.random((6, 5)) * (rng.random((6, 5)) < 0.5)).astype(
@@ -147,18 +133,6 @@ def test_cross_entropy_value_and_grad():
 def test_cross_entropy_label_shape_validation():
     with pytest.raises(ValueError):
         softmax_cross_entropy(Tensor(np.zeros((3, 4))), np.array([0, 1]))
-
-
-def test_dropout_train_and_eval():
-    x = Tensor(np.ones((100, 10), dtype=np.float32), requires_grad=True)
-    y = dropout(x, 0.5, rng=np.random.default_rng(0), training=True)
-    kept = y.data != 0
-    assert 0.3 < kept.mean() < 0.7
-    np.testing.assert_allclose(y.data[kept], 2.0)  # inverted scaling
-    y_eval = dropout(x, 0.5, training=False)
-    assert y_eval is x
-    with pytest.raises(ValueError):
-        dropout(x, 1.0)
 
 
 def test_segment_softmax_normalises_per_segment():

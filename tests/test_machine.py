@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import OutOfMemoryError
-from repro.machine import GB, Machine, MachineSpec, DEFAULT_SCALE
+from repro.machine import CPU_CORES, GB, Machine, MachineSpec, DEFAULT_SCALE
 
 
 def test_paper_scaled_defaults():
@@ -14,9 +14,10 @@ def test_paper_scaled_defaults():
 
 
 def test_paper_scaled_overrides():
-    spec = MachineSpec.paper_scaled(host_gb=8, num_gpus=4, cpu_cores=8)
+    spec = MachineSpec.paper_scaled(host_gb=8, num_gpus=4,
+                                    sample_cost_scale=2.0)
     assert spec.num_gpus == 4
-    assert spec.cpu_cores == 8
+    assert spec.sample_cost_scale == 2.0
     assert spec.host_capacity == int(8 * GB * DEFAULT_SCALE)
 
 
@@ -25,7 +26,7 @@ def test_machine_wires_components():
     assert len(m.gpus) == 2
     assert len(m.pcie) == 2
     assert m.page_cache.host is m.host
-    assert m.cpu.capacity == m.spec.cpu_cores
+    assert m.cpu.capacity == CPU_CORES
 
 
 def test_cpu_task_charges_core_and_probe():
@@ -41,14 +42,14 @@ def test_cpu_task_charges_core_and_probe():
 
 
 def test_cpu_tasks_queue_beyond_core_count():
-    m = Machine(MachineSpec.paper_scaled(host_gb=32, cpu_cores=2))
+    m = Machine(MachineSpec.paper_scaled(host_gb=32))
 
     def work(sim):
         yield from m.cpu_task(1.0)
 
-    procs = [m.sim.process(work(m.sim)) for _ in range(4)]
+    procs = [m.sim.process(work(m.sim)) for _ in range(2 * CPU_CORES)]
     m.sim.drain(procs)
-    assert m.sim.now == pytest.approx(2.0)  # two waves on two cores
+    assert m.sim.now == pytest.approx(2.0)  # two waves on every core
 
 
 def test_gpu_task_records_busy_time():
@@ -105,14 +106,10 @@ def test_machine_spec_validation():
 
     bad = [
         dict(host_capacity=0),
-        dict(host_reserve=-1),
-        dict(host_reserve=int(32 * GB * DEFAULT_SCALE)),  # >= capacity
-        dict(cpu_cores=0),
         dict(num_gpus=0),
         dict(gpu_capacity=0),
         dict(pcie_bandwidth=0.0),
         dict(pcie_bandwidth=float("inf")),
-        dict(pcie_latency=-1e-6),
         dict(sample_cost_scale=0.0),
         dict(faults="not-a-plan"),
     ]
