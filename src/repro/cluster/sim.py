@@ -42,7 +42,8 @@ the shard's batch service times over the window.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional
+import math
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -64,6 +65,34 @@ UNBORN, ADMITTED, OK, SHED, TIMEOUT, FAILED = 0, 1, 2, 3, 4, 5
 #: Rank assigned to nodes outside the query pool: never hot, never
 #: cached.
 _COLD_RANK = np.iinfo(np.int64).max
+
+
+def linear_quantiles(sample: np.ndarray, qs: Sequence[float]) -> List[float]:
+    """``np.quantile(sample, qs)`` of a finite 1-D *sample*, bit for bit,
+    from one sort.
+
+    numpy's default ``linear`` method: virtual index ``(n - 1) * q``,
+    its floor and the next index, ``gamma`` the virtual index's
+    distance from the floor, and numpy's ``_lerp``: ``a + (b - a) *
+    gamma``, or ``b - (b - a) * (1 - gamma)`` when ``gamma >= 0.5``.  A
+    virtual index at or past the last element takes the last element.
+    ``np.quantile`` itself imports ``numpy.ma`` on its first call.
+    """
+    s = np.sort(sample)
+    last = len(s) - 1
+    out = []
+    for q in qs:
+        virtual = last * q
+        if virtual >= last:
+            out.append(float(s[last]))
+            continue
+        lo = math.floor(virtual)
+        a, b = float(s[lo]), float(s[lo + 1])
+        gamma = virtual - lo
+        diff = b - a
+        out.append(b - diff * (1 - gamma) if gamma >= 0.5
+                   else a + diff * gamma)
+    return out
 
 
 class ClusterSim:
@@ -460,8 +489,7 @@ class ClusterSim:
         ok = self.req_status == OK
         lat = self.completed_at[ok] - self.arrivals[ok]
         if len(lat):
-            q = np.quantile(lat, [0.5, 0.95, 0.99])
-            p50, p95, p99 = float(q[0]), float(q[1]), float(q[2])
+            p50, p95, p99 = linear_quantiles(lat, (0.5, 0.95, 0.99))
             mean, mx = float(lat.mean()), float(lat.max())
         else:
             p50 = p95 = p99 = mean = mx = float("nan")

@@ -115,9 +115,13 @@ class LatencyRecorder:
     """Per-request latency samples with deterministic quantiles.
 
     The serving plane records one ``(arrival, completion)`` pair per
-    completed request; quantiles use the linear-interpolation definition
-    on the sorted sample (deterministic — no estimation), matching
-    ``numpy.quantile``'s default without importing numpy here.
+    completed request; quantiles interpolate linearly between the two
+    neighbouring order statistics of the sorted sample (deterministic —
+    no estimation), as ``s[lo] * (1 - frac) + s[hi] * frac``.  That is
+    ``numpy.quantile``'s default definition but not its arithmetic:
+    numpy's ``_lerp`` rounds differently, so the two can differ in the
+    last bit.  The cluster plane's quantiles
+    (:func:`repro.cluster.sim.linear_quantiles`) follow numpy's.
     """
 
     def __init__(self, name: str = "") -> None:
