@@ -33,6 +33,7 @@ import sys
 from typing import List, Optional
 
 from repro.bench.report import format_table
+from repro.errors import ConfigError
 
 
 def _add_workload_args(p: argparse.ArgumentParser) -> None:
@@ -53,7 +54,8 @@ def _workload(args):
     from repro.core.base import TrainConfig
 
     ds = get_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    bs = args.batch_size or max(10, int(round(50 * args.scale)))
+    bs = (args.batch_size if args.batch_size is not None
+          else max(10, int(round(50 * args.scale))))
     cfg = TrainConfig(model_kind=args.model, batch_size=bs, seed=args.seed)
     return ds, cfg
 
@@ -268,7 +270,7 @@ def cmd_cluster(args) -> int:
         return 2
     scenario = ClusterScenario(
         name="cli-cluster", dataset=args.dataset,
-        dataset_scale=args.scale, host_gb=args.host_gb, kind=args.kind,
+        dataset_scale=args.scale, host_gb=args.host_gb,
         rate=args.rate, num_requests=args.requests,
         seeds_per_request=args.seeds_per_request,
         popularity=args.popularity, zipf_alpha=args.zipf_alpha,
@@ -425,9 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dataset scale relative to the registry minis")
     p.add_argument("--host-gb", type=float, default=32,
                    help="paper-scale host memory (scaled automatically)")
-    p.add_argument("--kind", default="poisson",
-                   choices=["poisson", "trace"],
-                   help="workload kind (default: poisson)")
     p.add_argument("--rate", type=float, default=400.0,
                    help="offered load, requests/second (default: 400)")
     p.add_argument("--requests", type=int, default=200,
@@ -495,8 +494,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command; a value that fails validation exits 2, as
+    argparse's own usage errors do."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        print(f"{args.command}: {exc}")
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -33,8 +33,6 @@ class ClusterConfig:
     #: redundancy: a ``shard_down`` episode makes the shard's keys
     #: unavailable and the affected requests fail fast.
     replication: int = 2
-    #: Virtual nodes per shard on the consistent-hash ring.
-    vnodes: int = 64
     #: Placement partitions per shard (the remap granularity).
     partitions_per_shard: int = 16
     #: Feature-store partitioner: ``hash`` (splitmix64 spread) or
@@ -52,19 +50,15 @@ class ClusterConfig:
     hot_fraction: float = 0.02
     #: Per-shard popularity cache: nodes in the globally hottest
     #: ``cache_fraction`` of the ranked pool are served at
-    #: ``node_hit_cost``; everything else pays ``node_miss_cost``.
+    #: :data:`~repro.cluster.sim.NODE_HIT_COST`; everything else pays
+    #: :data:`~repro.cluster.sim.NODE_MISS_COST`.
     cache_fraction: float = 0.05
     #: Router admission window: outstanding (admitted, non-terminal)
     #: requests beyond this are shed at arrival.
     admit_capacity: int = 4096
     #: Shard micro-batching: up to ``max_batch`` parts per service
-    #: batch; a batch costs ``batch_overhead`` plus the sum of its part
-    #: costs (``part_cost_base`` + per-node hit/miss cost).
+    #: batch, priced by :mod:`repro.cluster.sim`'s cost constants.
     max_batch: int = 32
-    batch_overhead: float = 2e-4
-    part_cost_base: float = 5e-5
-    node_hit_cost: float = 2e-7
-    node_miss_cost: float = 4e-6
 
     def __post_init__(self):
         require_finite_floats(self)
@@ -72,8 +66,6 @@ class ClusterConfig:
             raise ConfigError("num_shards must be >= 1")
         if not 1 <= self.replication <= self.num_shards:
             raise ConfigError("replication must be in [1, num_shards]")
-        if self.vnodes < 1:
-            raise ConfigError("vnodes must be >= 1")
         if self.partitions_per_shard < 1:
             raise ConfigError("partitions_per_shard must be >= 1")
         if self.partition not in _PARTITIONERS:
@@ -91,15 +83,6 @@ class ClusterConfig:
             raise ConfigError("admit_capacity must be >= 1")
         if self.max_batch < 1:
             raise ConfigError("max_batch must be >= 1")
-        if not self.batch_overhead >= 0:
-            raise ConfigError("batch_overhead must be >= 0")
-        if not self.part_cost_base > 0:
-            raise ConfigError("part_cost_base must be positive")
-        if self.node_hit_cost < 0 or self.node_miss_cost < 0:
-            raise ConfigError("node costs must be >= 0")
-        if self.node_hit_cost > self.node_miss_cost:
-            raise ConfigError("node_hit_cost must not exceed "
-                              "node_miss_cost")
 
     def with_(self, **kw) -> "ClusterConfig":
         return replace(self, **kw)

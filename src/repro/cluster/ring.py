@@ -9,9 +9,9 @@ pinned by hypothesis tests:
 
 * **balance** — with enough vnodes the keyspace splits near-evenly, so
   shard load tracks workload skew rather than placement accident;
-* **minimal remap** — removing (or adding) one shard moves only the
-  keys that shard owned (~1/N of the keyspace); everything else keeps
-  its shard, which is what makes `shard_down` failover cheap.
+* **minimal remap** — removing one shard moves only the keys that
+  shard owned (~1/N of the keyspace); everything else keeps its shard,
+  which is what makes `shard_down` failover cheap.
 
 Replication walks the ring clockwise from the owning vnode collecting
 the next ``r`` *distinct* shards (the successor chain); those hold the
@@ -113,13 +113,6 @@ class HashRing:
             raise ConfigError(f"shard {shard_id} not on the ring")
         remaining = tuple(s for s in self.shard_ids if s != shard_id)
         return HashRing(remaining, vnodes=self.vnodes)
-
-    def with_shard(self, shard_id: int) -> "HashRing":
-        """The ring after *shard_id* joins (scale-out)."""
-        if shard_id in self.shard_ids:
-            raise ConfigError(f"shard {shard_id} already on the ring")
-        return HashRing(self.shard_ids + (int(shard_id),),
-                        vnodes=self.vnodes)
 
 
 def remap_fraction(before: HashRing, after: HashRing,

@@ -27,18 +27,12 @@ class ClusterScenario(ScenarioBase):
     """One point of the cluster configuration space."""
 
     # --- workload shape -------------------------------------------------
-    kind: str = "poisson"
     rate: float = 400.0
     num_requests: int = 200
     seeds_per_request: int = 1
     popularity: str = "zipf"
     zipf_alpha: float = 1.1
     rate_shape: str = "flat"
-    diurnal_period: float = 1.0
-    diurnal_amplitude: float = 0.8
-    flash_start: float = 0.2
-    flash_duration: float = 0.2
-    flash_multiplier: float = 8.0
     #: Which nodes queries target: the whole graph (``all``) or the
     #: held-out test split (``test`` — the single-machine serve pool,
     #: used by the degenerate-equivalence pin).
@@ -47,7 +41,6 @@ class ClusterScenario(ScenarioBase):
     # --- cluster plane --------------------------------------------------
     num_shards: int = 4
     replication: int = 2
-    vnodes: int = 64
     partitions_per_shard: int = 16
     partition: str = "hash"
     hops: int = 2
@@ -57,10 +50,6 @@ class ClusterScenario(ScenarioBase):
     cache_fraction: float = 0.05
     admit_capacity: int = 4096
     max_batch: int = 32
-    batch_overhead: float = 2e-4
-    part_cost_base: float = 5e-5
-    node_hit_cost: float = 2e-7
-    node_miss_cost: float = 4e-6
     #: Path to a FaultPlan JSON file (``repro cluster --faults``);
     #: mutually exclusive with a non-"none" ``fault_plan`` preset.
     fault_plan_file: Optional[str] = None
@@ -80,37 +69,10 @@ class ClusterScenario(ScenarioBase):
 
     # ------------------------------------------------------------------
     def workload_spec(self) -> WorkloadSpec:
-        return WorkloadSpec(kind=self.kind, rate=self.rate,
-                            num_requests=self.num_requests,
-                            seeds_per_request=self.seeds_per_request,
-                            popularity=self.popularity,
-                            zipf_alpha=self.zipf_alpha,
-                            rate_shape=self.rate_shape,
-                            diurnal_period=self.diurnal_period,
-                            diurnal_amplitude=self.diurnal_amplitude,
-                            flash_start=self.flash_start,
-                            flash_duration=self.flash_duration,
-                            flash_multiplier=self.flash_multiplier,
-                            seed=self.seed)
+        return self.build(WorkloadSpec)
 
     def cluster_config(self) -> ClusterConfig:
-        return ClusterConfig(
-            num_shards=self.num_shards,
-            replication=self.replication,
-            vnodes=self.vnodes,
-            partitions_per_shard=self.partitions_per_shard,
-            partition=self.partition,
-            hops=self.hops,
-            fanout=self.fanout,
-            hedge=self.hedge,
-            hot_fraction=self.hot_fraction,
-            cache_fraction=self.cache_fraction,
-            admit_capacity=self.admit_capacity,
-            max_batch=self.max_batch,
-            batch_overhead=self.batch_overhead,
-            part_cost_base=self.part_cost_base,
-            node_hit_cost=self.node_hit_cost,
-            node_miss_cost=self.node_miss_cost)
+        return self.build(ClusterConfig)
 
 
 def run_cluster_scenario(scenario: ClusterScenario,

@@ -22,7 +22,7 @@ Request lifecycle
    sheds the rest at arrival.
 3. **Service** — each shard serves its ready parts in arrival order as
    micro-batches of up to ``max_batch``; a batch costs
-   ``batch_overhead + sum(part costs)``, inflated by any active
+   ``BATCH_OVERHEAD + sum(part costs)``, inflated by any active
    ``shard_slow`` window.  A part that cannot *start* by its request's
    deadline is dropped and the request times out (the per-shard
    deadline budget); parts started before the deadline complete and
@@ -66,6 +66,17 @@ UNBORN, ADMITTED, OK, SHED, TIMEOUT, FAILED = 0, 1, 2, 3, 4, 5
 #: cached.
 _COLD_RANK = np.iinfo(np.int64).max
 
+#: Virtual nodes per shard on the consistent-hash ring.
+VNODES = 64
+#: The shard service model: a batch costs ``BATCH_OVERHEAD`` plus the
+#: sum of its part costs, and a part costs ``PART_COST_BASE`` plus, per
+#: node it reads, ``NODE_HIT_COST`` when the node is in the popularity
+#: cache (``cache_fraction``) and ``NODE_MISS_COST`` when not (seconds).
+BATCH_OVERHEAD = 2e-4
+PART_COST_BASE = 5e-5
+NODE_HIT_COST = 2e-7
+NODE_MISS_COST = 4e-6
+
 
 def linear_quantiles(sample: np.ndarray, qs: Sequence[float]) -> List[float]:
     """``np.quantile(sample, qs)`` of a finite 1-D *sample*, bit for bit,
@@ -107,9 +118,9 @@ class ClusterSim:
     def __init__(self, machine: Machine, dataset, config: ClusterConfig,
                  workload: WorkloadSpec, slo: float,
                  pool: Optional[np.ndarray] = None):
-        if workload.kind not in ("poisson", "trace"):
+        if workload.kind != "poisson":
             raise ConfigError("the cluster router is open-loop; workload "
-                              "kind must be poisson or trace")
+                              "kind must be poisson")
         if not 0 < slo < float("inf"):
             raise ConfigError("slo must be positive and finite")
         self.machine = machine
@@ -127,8 +138,6 @@ class ClusterSim:
         ranked = popularity_ranked_pool(workload, self.pool, streams)
         self.arrivals, self.seeds = build_request_arrays(
             workload, self.pool, streams, ranked_pool=ranked)
-        if np.any(np.diff(self.arrivals) < 0):
-            raise ConfigError("cluster arrivals must be sorted")
         self.n = int(workload.num_requests)
         self.deadlines = self.arrivals + self.slo
 
@@ -139,8 +148,7 @@ class ClusterSim:
         else:
             degrees = np.diff(graph.indptr).astype(np.int64)
             self.part_of_node = degree_aware_partition(degrees, num_parts)
-        self.router = HashRing(range(config.num_shards),
-                               vnodes=config.vnodes)
+        self.router = HashRing(range(config.num_shards), vnodes=VNODES)
         part_ids = np.arange(num_parts, dtype=np.int64)
         self.shard_of_part = self.router.lookup(part_ids)
         self.succ_of_part = self.router.successors(
@@ -182,8 +190,6 @@ class ClusterSim:
         t_shard: List[int] = []
         t_anchor: List[int] = []
         t_cost: List[float] = []
-        base = cfg.part_cost_base
-        ch, cm = cfg.node_hit_cost, cfg.node_miss_cost
         for v in self.pool:
             v = int(v)
             nodes = [v]
@@ -219,7 +225,8 @@ class ClusterSim:
             for s in order:
                 t_shard.append(s)
                 t_anchor.append(anchor[s])
-                t_cost.append(base + hits[s] * ch + miss[s] * cm)
+                t_cost.append(PART_COST_BASE + hits[s] * NODE_HIT_COST
+                              + miss[s] * NODE_MISS_COST)
             t_indptr.append(len(t_shard))
         self.touch_indptr = np.asarray(t_indptr, dtype=np.int64)
         self.touch_shard = np.asarray(t_shard, dtype=np.int64)
@@ -296,10 +303,11 @@ class ClusterSim:
     def _build_parts_multi(self) -> None:
         """General multi-seed expansion (per-request union loop).
 
-        Used by the small pinned/golden scenarios; cost counts sum over
-        seeds (shared neighbor nodes between two seeds of one request
-        are charged per seed — a documented approximation that keeps
-        the loop trivial).
+        Runs for workloads with more than one seed per request
+        (``repro cluster --seeds-per-request`` above 1); cost counts sum
+        over seeds (shared neighbor nodes between two seeds of one
+        request are charged per seed — a documented approximation that
+        keeps the loop trivial).
         """
         read_indptr = [0]
         req_of_read: List[int] = []
@@ -311,7 +319,7 @@ class ClusterSim:
         m_cost: List[float] = []
         m_req: List[int] = []
         mirror_counts = np.zeros(self.n, dtype=np.int64)
-        base = self.cfg.part_cost_base
+        base = PART_COST_BASE
         for r in range(self.n):
             order: List[int] = []
             cost: Dict[int, float] = {}
@@ -648,8 +656,7 @@ class ClusterSim:
                 yield AnyOf(sim, [sim.timeout(delay), ev])
                 self._kick[s] = None
                 continue
-            dur = (self.cfg.batch_overhead
-                   + float(self.part_cost[chosen].sum())) \
+            dur = (BATCH_OVERHEAD + float(self.part_cost[chosen].sum())) \
                 * self._slow_factor(s, sim.now)
             yield sim.timeout(dur)
             self._complete_batch(s, chosen, dur)

@@ -21,8 +21,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.faults.plan import (REPLICA_KINDS, SHARD_KINDS, FaultPlan,
-                               FaultSpec)
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.simcore.rand import RandomStreams
 
 
@@ -166,10 +165,8 @@ class FaultInjector:
             s for s in plan.specs if s.kind == "ring_error"]
         self.pressure_specs: List[FaultSpec] = [
             s for s in plan.specs if s.kind == "mem_pressure"]
-        self.replica_specs: List[FaultSpec] = [
-            s for s in plan.specs if s.kind in REPLICA_KINDS]
-        self.shard_specs: List[FaultSpec] = [
-            s for s in plan.specs if s.kind in SHARD_KINDS]
+        self.replica_specs: List[FaultSpec] = list(plan.replica_specs)
+        self.shard_specs: List[FaultSpec] = list(plan.shard_specs)
 
     # ------------------------------------------------------------------
     def _rng(self, spec: FaultSpec) -> np.random.Generator:

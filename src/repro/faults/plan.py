@@ -294,19 +294,9 @@ class FaultPlan:
         return tuple(s for s in self.specs if s.kind in REPLICA_KINDS)
 
     @property
-    def has_replica_faults(self) -> bool:
-        """True when any spec targets the replica failure domain."""
-        return any(s.kind in REPLICA_KINDS for s in self.specs)
-
-    @property
     def shard_specs(self) -> Tuple[FaultSpec, ...]:
         """The shard failure-domain specs (cluster plane)."""
         return tuple(s for s in self.specs if s.kind in SHARD_KINDS)
-
-    @property
-    def has_shard_faults(self) -> bool:
-        """True when any spec targets the shard failure domain."""
-        return any(s.kind in SHARD_KINDS for s in self.specs)
 
     def __len__(self) -> int:
         return len(self.specs)

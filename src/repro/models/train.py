@@ -9,7 +9,7 @@ Fig. 14 makes.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -78,18 +78,15 @@ def predict(model: Module, features: np.ndarray,
 
 def accuracy(model: Module, sampler: NeighborSampler,
              feature_matrix: np.ndarray, nodes: np.ndarray,
-             labels: np.ndarray, batch_size: int = 1000,
-             feature_fetch: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-             ) -> float:
+             labels: np.ndarray, batch_size: int = 1000) -> float:
     """Sampled-inference accuracy over *nodes* (validation/test)."""
     nodes = np.asarray(nodes, dtype=np.int64)
     if len(nodes) == 0:
         raise ValueError("empty evaluation set")
-    fetch = feature_fetch or (lambda ids: feature_matrix[ids])
     correct = 0
     for s in range(0, len(nodes), batch_size):
         batch = nodes[s:s + batch_size]
         sub = sampler.sample(batch)
-        preds = predict(model, fetch(sub.all_nodes), sub)
+        preds = predict(model, feature_matrix[sub.all_nodes], sub)
         correct += int((preds == labels[sub.seeds]).sum())
     return correct / len(nodes)

@@ -51,8 +51,7 @@ class Scenario(ScenarioBase):
 
     # ------------------------------------------------------------------
     def train_config(self) -> TrainConfig:
-        return TrainConfig(model_kind=self.model_kind,
-                           batch_size=self.batch_size, seed=self.seed)
+        return self.build(TrainConfig)
 
     def ssd_spec(self, channels: Optional[int] = None):
         spec = _SSD_PRESETS[self.ssd]

@@ -12,7 +12,7 @@ bit-for-bit.  The training (:class:`repro.oracle.Scenario`), serving
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import (ConfigError, OutOfMemoryError, OutOfTimeError,
@@ -77,6 +77,14 @@ class ScenarioBase:
 
     def with_(self, **kw):
         return replace(self, **kw)
+
+    def build(self, record_cls):
+        """A *record_cls* dataclass (``WorkloadSpec``, ``ServeConfig``,
+        ...) from this scenario's fields of the same names; the record's
+        other fields keep their defaults."""
+        names = {f.name for f in fields(record_cls)}
+        return record_cls(**{f.name: getattr(self, f.name)
+                             for f in fields(self) if f.name in names})
 
     # ------------------------------------------------------------------
     def resolve_fault_plan(self):

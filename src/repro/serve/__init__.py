@@ -6,7 +6,7 @@ package turns the existing storage/memory/extraction stack into a
 queueing system under open-loop load:
 
 * :mod:`repro.serve.workload` — deterministic arrival processes
-  (open-loop Poisson, trace-driven, closed-loop client pool);
+  (open-loop Poisson, closed-loop client pool);
 * :mod:`repro.serve.batcher` — bounded admission queue with load
   shedding plus the dynamic micro-batcher (max-batch / max-wait);
 * :mod:`repro.serve.backends` — feature extraction over the simulated

@@ -7,13 +7,11 @@ JSON round-trippable and memoisable, mirroring
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
 
 from repro.errors import ConfigError, require_finite_floats
 
-_WORKLOAD_KINDS = ("poisson", "trace", "closed")
+_WORKLOAD_KINDS = ("poisson", "closed")
 _POPULARITIES = ("uniform", "zipf")
 _RATE_SHAPES = ("flat", "diurnal", "flash")
 _BACKENDS = ("async", "sync")
@@ -25,50 +23,38 @@ class WorkloadSpec:
 
     * ``poisson`` — open-loop: exponential inter-arrivals at ``rate``
       requests/second from the ``serve-arrivals`` stream.
-    * ``trace`` — open-loop: explicit ``arrivals`` timestamps.
-    * ``closed`` — ``num_clients`` clients, each issuing the next
-      request ``think_time`` seconds after its previous one resolves.
+    * ``closed`` — :data:`~repro.serve.server.NUM_CLIENTS` clients, each
+      issuing the next request an exponential
+      :data:`~repro.serve.server.THINK_TIME` after its previous one
+      resolves.
 
-    Production traffic shapes layer on top (cluster plane, PR 10):
+    Production traffic shapes layer on top (the cluster plane's):
 
     * ``popularity`` — how query seeds are drawn from the node pool:
-      ``uniform`` (the PR 5 default, bit-identical draws) or ``zipf``
-      (rank-``zipf_alpha`` skew over a seeded random rank order, so hot
-      nodes exist but are decoupled from node-id order).
+      ``uniform`` (the default) or ``zipf`` (rank-``zipf_alpha`` skew
+      over a seeded random rank order, so hot nodes exist but are
+      decoupled from node-id order).
     * ``rate_shape`` — the arrival intensity over time for ``poisson``
-      workloads: ``flat`` (homogeneous, the PR 5 default), ``diurnal``
-      (a sinusoidal day curve: ``rate * (1 + amplitude*sin(2*pi*t/
-      period))``), or ``flash`` (a flash crowd: ``rate`` multiplied by
-      ``flash_multiplier`` inside ``[flash_start, flash_start +
-      flash_duration)``).  Shaped arrivals come from the dedicated
-      ``serve-shaped-arrivals`` stream via time-rescaling, leaving the
-      flat path's draws untouched.
+      workloads: ``flat`` (homogeneous, the default), ``diurnal`` (a
+      sinusoidal day curve) or ``flash`` (a flash crowd), with the
+      curves' constants in :mod:`repro.serve.workload`.  Shaped
+      arrivals come from the dedicated ``serve-shaped-arrivals`` stream
+      via time-rescaling, leaving the flat path's draws untouched.
 
-    Every float field, and every ``arrivals`` entry, must be finite.
+    Every float field must be finite.
     """
 
     kind: str = "poisson"
     rate: float = 100.0
     num_requests: int = 100
     seeds_per_request: int = 1
-    num_clients: int = 4
-    think_time: float = 1e-3
-    arrivals: Optional[Tuple[float, ...]] = None
     popularity: str = "uniform"
     zipf_alpha: float = 1.1
     rate_shape: str = "flat"
-    diurnal_period: float = 1.0
-    diurnal_amplitude: float = 0.8
-    flash_start: float = 0.2
-    flash_duration: float = 0.2
-    flash_multiplier: float = 8.0
     seed: int = 0
 
     def __post_init__(self):
         require_finite_floats(self)
-        if self.arrivals is not None and not all(
-                math.isfinite(t) for t in self.arrivals):
-            raise ConfigError("arrivals must be finite")
         if self.kind not in _WORKLOAD_KINDS:
             raise ConfigError(f"unknown workload kind {self.kind!r}; "
                               f"known: {_WORKLOAD_KINDS}")
@@ -78,23 +64,6 @@ class WorkloadSpec:
             raise ConfigError("seeds_per_request must be >= 1")
         if self.kind == "poisson" and not self.rate > 0:
             raise ConfigError("poisson workload needs a positive rate")
-        if self.kind == "closed":
-            if self.num_clients < 1:
-                raise ConfigError("num_clients must be >= 1")
-            if self.think_time < 0:
-                raise ConfigError("think_time must be >= 0")
-        if self.kind == "trace":
-            if not self.arrivals:
-                raise ConfigError("trace workload needs arrivals")
-            if len(self.arrivals) != self.num_requests:
-                raise ConfigError(
-                    f"trace arrivals ({len(self.arrivals)}) must match "
-                    f"num_requests ({self.num_requests})")
-            if any(t < 0 for t in self.arrivals):
-                raise ConfigError("trace arrivals must be >= 0")
-            if any(b < a for a, b in zip(self.arrivals,
-                                         self.arrivals[1:])):
-                raise ConfigError("trace arrivals must be sorted")
         if self.popularity not in _POPULARITIES:
             raise ConfigError(f"unknown popularity {self.popularity!r}; "
                               f"known: {_POPULARITIES}")
@@ -103,23 +72,9 @@ class WorkloadSpec:
         if self.rate_shape not in _RATE_SHAPES:
             raise ConfigError(f"unknown rate_shape {self.rate_shape!r}; "
                               f"known: {_RATE_SHAPES}")
-        if self.rate_shape != "flat":
-            if self.kind != "poisson":
-                raise ConfigError("rate shaping applies to poisson "
-                                  "workloads only")
-            if self.rate_shape == "diurnal":
-                if not self.diurnal_period > 0:
-                    raise ConfigError("diurnal_period must be positive")
-                if not 0.0 <= self.diurnal_amplitude < 1.0:
-                    raise ConfigError(
-                        "diurnal_amplitude must be in [0, 1)")
-            if self.rate_shape == "flash":
-                if self.flash_start < 0:
-                    raise ConfigError("flash_start must be >= 0")
-                if not self.flash_duration > 0:
-                    raise ConfigError("flash_duration must be positive")
-                if not self.flash_multiplier > 1.0:
-                    raise ConfigError("flash_multiplier must be > 1")
+        if self.rate_shape != "flat" and self.kind != "poisson":
+            raise ConfigError("rate shaping applies to poisson "
+                              "workloads only")
 
     def with_(self, **kw) -> "WorkloadSpec":
         return replace(self, **kw)

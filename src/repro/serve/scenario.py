@@ -51,22 +51,13 @@ class ServeScenario(ScenarioBase):
 
     # ------------------------------------------------------------------
     def workload_spec(self) -> WorkloadSpec:
-        return WorkloadSpec(kind=self.kind, rate=self.rate,
-                            num_requests=self.num_requests,
-                            seeds_per_request=self.seeds_per_request,
-                            seed=self.seed)
+        return self.build(WorkloadSpec)
 
     def serve_config(self) -> ServeConfig:
-        return ServeConfig(backend=self.backend,
-                           num_replicas=self.num_replicas,
-                           queue_capacity=self.queue_capacity,
-                           slo=self.slo,
-                           max_batch_size=self.max_batch_size,
-                           max_wait=self.max_wait,
-                           hedge=self.hedge)
+        return self.build(ServeConfig)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(model_kind=self.model_kind, seed=self.seed)
+        return self.build(TrainConfig)
 
     def machine_spec(self, races: bool = False) -> MachineSpec:
         return super().machine_spec(races, num_gpus=self.num_replicas)

@@ -44,6 +44,12 @@ from repro.serve.workload import Request, build_requests
 from repro.simcore import LatencyRecorder, RandomStreams
 from repro.simcore.engine import Event
 
+#: Closed-loop workloads: the client count, and each client's mean
+#: think time in seconds (exponential, from its own stream) between a
+#: request resolving and its next one.
+NUM_CLIENTS = 4
+THINK_TIME = 1e-3
+
 
 class InferenceServer:
     """Online GNN inference over the simulated disk stack."""
@@ -208,8 +214,7 @@ class InferenceServer:
         """Closed-loop client: issue, await resolution, think, repeat."""
         m = self.machine
         rng = self.streams.fork("serve-client", client)
-        mine = self.requests[client::self.workload.num_clients]
-        for req in mine:
+        for req in self.requests[client::NUM_CLIENTS]:
             req.arrival = m.sim.now
             req.deadline = m.sim.now + self.config.slo
             if not self.queue.offer(req):
@@ -217,9 +222,7 @@ class InferenceServer:
                 self._resolve(req)
             else:
                 yield self.completion_event(req.rid)
-            if self.workload.think_time > 0:
-                yield m.sim.timeout(rng.exponential(
-                    self.workload.think_time))
+            yield m.sim.timeout(rng.exponential(THINK_TIME))
 
     def _process_job(self, r: int, job: Job,
                      factor: float = 1.0) -> Generator:
@@ -270,7 +273,7 @@ class InferenceServer:
         f0 = m.fault_counters()
 
         if self.workload.kind == "closed":
-            for c in range(self.workload.num_clients):
+            for c in range(NUM_CLIENTS):
                 self._actors.append(sim.process(self._client_proc(c),
                                                 name=f"client{c}"))
         else:

@@ -14,6 +14,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.serve.config import WorkloadSpec
 from repro.simcore import RandomStreams
 
@@ -22,6 +23,16 @@ from repro.simcore import RandomStreams
 #: ``failed`` is reached only under replica faults, when the failover
 #: budget for a crash-orphaned request runs out.
 STATUSES = ("pending", "ok", "shed", "timeout", "failed")
+
+#: The ``diurnal`` rate shape: ``rate * (1 + DIURNAL_AMPLITUDE *
+#: sin(2*pi*t / DIURNAL_PERIOD))``.
+DIURNAL_PERIOD = 1.0
+DIURNAL_AMPLITUDE = 0.8
+#: The ``flash`` rate shape: ``rate`` times ``FLASH_MULTIPLIER`` inside
+#: ``[FLASH_START, FLASH_START + FLASH_DURATION)``, ``rate`` elsewhere.
+FLASH_START = 0.2
+FLASH_DURATION = 0.2
+FLASH_MULTIPLIER = 8.0
 
 
 @dataclass
@@ -45,8 +56,8 @@ def _draw_seeds(spec: WorkloadSpec, pool: np.ndarray,
                 streams: RandomStreams) -> np.ndarray:
     """(num_requests, seeds_per_request) node ids, unique per request."""
     rng = streams.get("serve-seeds")
-    take = min(spec.seeds_per_request, len(pool))
-    return np.stack([rng.choice(pool, size=take, replace=False)
+    return np.stack([rng.choice(pool, size=spec.seeds_per_request,
+                                replace=False)
                      for _ in range(spec.num_requests)])
 
 
@@ -85,7 +96,7 @@ def _draw_zipf_seeds(spec: WorkloadSpec, ranked_pool: np.ndarray,
                      streams: RandomStreams) -> np.ndarray:
     """Zipf-skewed seed draws over the popularity-ranked pool."""
     rng = streams.get("serve-zipf-seeds")
-    take = min(spec.seeds_per_request, len(ranked_pool))
+    take = spec.seeds_per_request
     w = popularity_weights(spec, len(ranked_pool))
     if take == 1:
         # The common cluster shape: one seed per request, drawn
@@ -104,25 +115,24 @@ def _cumulative_rate_grid(spec: WorkloadSpec, lam_needed: float
     tabulated until it covers *lam_needed* (for time-rescaling)."""
     if spec.rate_shape == "diurnal":
         # lam(t) = rate * (1 + A sin(2 pi t / P)) >= rate * (1 - A) > 0.
-        t_hi = (lam_needed / (spec.rate * (1.0 - spec.diurnal_amplitude))
-                + spec.diurnal_period)
-        cycles = max(t_hi / spec.diurnal_period, 1.0)
+        t_hi = (lam_needed / (spec.rate * (1.0 - DIURNAL_AMPLITUDE))
+                + DIURNAL_PERIOD)
+        cycles = max(t_hi / DIURNAL_PERIOD, 1.0)
         n = int(min(max(512.0 * cycles, 1024.0), 2_000_000.0))
         t = np.linspace(0.0, t_hi, n)
         two_pi = 2.0 * np.pi
         lam = spec.rate * (
-            t + spec.diurnal_amplitude * spec.diurnal_period / two_pi
-            * (1.0 - np.cos(two_pi * t / spec.diurnal_period)))
+            t + DIURNAL_AMPLITUDE * DIURNAL_PERIOD / two_pi
+            * (1.0 - np.cos(two_pi * t / DIURNAL_PERIOD)))
         return t, lam
     # Flash crowd: piecewise-constant intensity, so the cumulative is
     # piecewise linear and exact on a grid containing the breakpoints.
-    t_hi = lam_needed / spec.rate + spec.flash_start \
-        + spec.flash_duration + 1.0
-    fs, fe = spec.flash_start, spec.flash_start + spec.flash_duration
+    t_hi = lam_needed / spec.rate + FLASH_START + FLASH_DURATION + 1.0
+    fs, fe = FLASH_START, FLASH_START + FLASH_DURATION
     t = np.unique(np.concatenate([
         np.linspace(0.0, t_hi, 1024), [fs, fe]]))
     in_flash = np.clip(np.minimum(t, fe) - fs, 0.0, None)
-    lam = spec.rate * (t + (spec.flash_multiplier - 1.0) * in_flash)
+    lam = spec.rate * (t + (FLASH_MULTIPLIER - 1.0) * in_flash)
     return t, lam
 
 
@@ -158,12 +168,20 @@ def build_request_arrays(spec: WorkloadSpec, seed_pool: np.ndarray,
     :func:`popularity_ranked_pool` and pass it as *ranked_pool* —
     otherwise the ``serve-popularity`` permutation would be drawn twice
     from the shared stream and the traces would diverge.
+
+    Each request's seeds are distinct nodes of *seed_pool*, so a spec
+    asking for more seeds per request than the pool holds raises
+    :class:`ConfigError`.
     """
     if streams is None:
         streams = RandomStreams(spec.seed)
     seed_pool = np.asarray(seed_pool, dtype=np.int64)
     if len(seed_pool) == 0:
         raise ValueError("empty seed pool")
+    if spec.seeds_per_request > len(seed_pool):
+        raise ConfigError(
+            f"seeds_per_request ({spec.seeds_per_request}) exceeds the "
+            f"seed pool ({len(seed_pool)} nodes)")
     if spec.popularity == "uniform":
         seeds = _draw_seeds(spec, seed_pool, streams)
     else:
@@ -177,8 +195,6 @@ def build_request_arrays(spec: WorkloadSpec, seed_pool: np.ndarray,
             arrivals = np.cumsum(arrival_gaps)
         else:
             arrivals = _shaped_arrivals(spec, streams)
-    elif spec.kind == "trace":
-        arrivals = np.asarray(spec.arrivals, dtype=np.float64)
     else:  # closed
         arrivals = np.full(spec.num_requests, float("nan"))
     return arrivals, seeds

@@ -28,7 +28,8 @@ import pytest
 
 from repro.bench.runner import get_dataset
 from repro.cluster import ClusterScenario
-from repro.cluster.sim import ADMITTED, OK, SHED, TIMEOUT, ClusterSim
+from repro.cluster.sim import (ADMITTED, BATCH_OVERHEAD, OK,
+                               PART_COST_BASE, SHED, TIMEOUT, ClusterSim)
 from repro.machine import Machine
 from repro.simcore import AnyOf, Event
 
@@ -94,8 +95,7 @@ class VectorisedClusterSim(ClusterSim):
                 yield AnyOf(sim, [sim.timeout(delay), ev])
                 self._kick[s] = None
                 continue
-            dur = (self.cfg.batch_overhead
-                   + float(self.part_cost[chosen].sum())) \
+            dur = (BATCH_OVERHEAD + float(self.part_cost[chosen].sum())) \
                 * self._slow_factor(s, sim.now)
             yield sim.timeout(dur)
             self._complete_batch(s, chosen, dur)
@@ -317,7 +317,7 @@ class ListScanMirrorsSim(ClusterSim):
         m_cost: List[float] = []
         m_req: List[int] = []
         mirror_counts = np.zeros(self.n, dtype=np.int64)
-        base = self.cfg.part_cost_base
+        base = PART_COST_BASE
         for r in range(self.n):
             order: List[int] = []
             cost: Dict[int, float] = {}

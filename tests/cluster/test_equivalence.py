@@ -24,7 +24,7 @@ pytestmark = pytest.mark.cluster
 #: The degenerate cluster: one shard holds everything, no replicas to
 #: hedge onto, uniform popularity on the serve pool (the test split).
 DEGENERATE = ClusterScenario(
-    name="degenerate", dataset="tiny", kind="poisson", rate=200.0,
+    name="degenerate", dataset="tiny", rate=200.0,
     num_requests=60, popularity="uniform", rate_shape="flat",
     pool="test", slo=10.0, num_shards=1, replication=1, hedge=False,
     admit_capacity=4096, seed=0)

@@ -44,7 +44,7 @@ def test_example_cluster_plan_round_trips():
     """The committed example plan loads, targets only shard faults, and
     survives a JSON round-trip unchanged."""
     plan = load_plan(EXAMPLE_PLAN)
-    assert plan.has_shard_faults
+    assert plan.shard_specs
     assert all(s.kind in SHARD_KINDS for s in plan.specs)
     assert {s.kind for s in plan.specs} == set(SHARD_KINDS)
     again = FaultPlan.from_dict(json.loads(json.dumps(plan.to_dict())))

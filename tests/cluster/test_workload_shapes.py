@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from repro.serve.config import ConfigError, WorkloadSpec
-from repro.serve.workload import (build_request_arrays,
+from repro.serve.workload import (FLASH_DURATION, FLASH_START,
+                                  build_request_arrays,
                                   popularity_ranked_pool,
                                   popularity_weights)
 from repro.simcore import RandomStreams
@@ -28,10 +29,8 @@ def _digest(spec):
 
 @pytest.mark.parametrize("shape_kw", [
     {"popularity": "zipf", "zipf_alpha": 1.3},
-    {"rate_shape": "diurnal", "diurnal_period": 0.5,
-     "diurnal_amplitude": 0.7},
-    {"rate_shape": "flash", "flash_start": 0.1, "flash_duration": 0.1,
-     "flash_multiplier": 6.0},
+    {"rate_shape": "diurnal"},
+    {"rate_shape": "flash"},
     {"popularity": "zipf", "zipf_alpha": 2.0, "rate_shape": "diurnal"},
 ])
 def test_shaped_generators_bit_identical_same_seed(shape_kw):
@@ -52,12 +51,11 @@ def test_shaped_arrivals_sorted_positive_and_counted():
 
 def test_flash_crowd_concentrates_arrivals():
     """Arrival density inside the flash window beats the baseline by a
-    factor tracking flash_multiplier."""
+    factor tracking FLASH_MULTIPLIER."""
     spec = WorkloadSpec(kind="poisson", rate=1000.0, num_requests=2000,
-                        rate_shape="flash", flash_start=0.5,
-                        flash_duration=0.25, flash_multiplier=8.0, seed=5)
+                        rate_shape="flash", seed=5)
     arrivals, _ = build_request_arrays(spec, POOL)
-    lo, hi = 0.5, 0.75
+    lo, hi = FLASH_START, FLASH_START + FLASH_DURATION
     inside = np.sum((arrivals >= lo) & (arrivals < hi))
     before = np.sum(arrivals < lo)
     inside_rate = inside / (hi - lo)
@@ -116,12 +114,5 @@ def test_shape_validation():
                      zipf_alpha=0.0)
     with pytest.raises(ConfigError):
         WorkloadSpec(kind="poisson", rate=1.0, rate_shape="sawtooth")
-    with pytest.raises(ConfigError):
-        WorkloadSpec(kind="poisson", rate=1.0, rate_shape="diurnal",
-                     diurnal_amplitude=1.5)
-    with pytest.raises(ConfigError):
-        WorkloadSpec(kind="poisson", rate=1.0, rate_shape="flash",
-                     flash_multiplier=0.5)
-    with pytest.raises(ConfigError):
-        WorkloadSpec(kind="trace", num_requests=2, arrivals=(0.1, 0.2),
-                     rate_shape="diurnal")
+    with pytest.raises(ConfigError, match="poisson workloads only"):
+        WorkloadSpec(kind="closed", rate_shape="diurnal")

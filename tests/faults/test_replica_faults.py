@@ -112,7 +112,7 @@ def test_replica_specs_split():
     inj = FaultInjector(plan)
     assert len(inj.replica_specs) == 3
     assert all(s.kind in REPLICA_KINDS for s in inj.replica_specs)
-    assert plan.has_replica_faults
+    assert plan.replica_specs
 
 
 # ----------------------------------------------------------------------

@@ -42,20 +42,6 @@ def test_accuracy_empty_set_raises(setup):
                  np.array([], dtype=np.int64), ds.labels)
 
 
-def test_accuracy_feature_fetch_hook(setup):
-    ds, sampler, model = setup
-    calls = []
-
-    def fetch(ids):
-        calls.append(len(ids))
-        return ds.features.features[ids]
-
-    acc = accuracy(model, sampler, None, ds.val_idx[:20], ds.labels,
-                   batch_size=10, feature_fetch=fetch)
-    assert calls, "custom fetch not used"
-    assert 0.0 <= acc <= 1.0
-
-
 def test_forward_backward_leaves_grads_for_sync(setup):
     ds, sampler, model = setup
     sub = sampler.sample(ds.train_idx[:10])

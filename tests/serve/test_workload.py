@@ -47,15 +47,8 @@ def test_poisson_mean_gap_tracks_rate():
     assert mean_gap == pytest.approx(1.0 / 100.0, rel=0.2)
 
 
-def test_trace_arrivals_verbatim():
-    arrivals = (0.001, 0.002, 0.01, 0.5)
-    spec = WorkloadSpec(kind="trace", num_requests=4, arrivals=arrivals)
-    reqs = build_requests(spec, POOL, slo=0.05)
-    assert [r.arrival for r in reqs] == list(arrivals)
-
-
 def test_closed_loop_arrivals_stamped_later():
-    spec = WorkloadSpec(kind="closed", num_requests=8, num_clients=2)
+    spec = WorkloadSpec(kind="closed", num_requests=8)
     reqs = build_requests(spec, POOL, slo=0.05)
     assert all(math.isnan(r.arrival) for r in reqs)
 
@@ -68,15 +61,28 @@ def test_seeds_unique_within_request_and_from_pool():
         assert np.isin(req.seeds, POOL).all()
 
 
+@pytest.mark.parametrize("popularity", ["uniform", "zipf"])
+def test_more_seeds_per_request_than_the_pool_holds_is_rejected(popularity):
+    """Seeds are distinct per request, so a pool of 100 cannot serve
+    101 of them; the request must not shrink to the pool's size."""
+    spec = WorkloadSpec(num_requests=4, seeds_per_request=len(POOL) + 1,
+                        popularity=popularity)
+    with pytest.raises(ConfigError, match=r"^seeds_per_request \(101\) "
+                                          r"exceeds the seed pool "
+                                          r"\(100 nodes\)"):
+        build_requests(spec, POOL, slo=0.05)
+    whole = build_requests(spec.with_(seeds_per_request=len(POOL)), POOL,
+                           slo=0.05)
+    assert all(len(np.unique(r.seeds)) == len(POOL) for r in whole)
+
+
 def test_spec_validation():
     with pytest.raises(ConfigError):
         WorkloadSpec(kind="bursty")
+    with pytest.raises(ConfigError, match="unknown workload kind 'trace'"):
+        WorkloadSpec(kind="trace")
     with pytest.raises(ConfigError):
         WorkloadSpec(kind="poisson", rate=0.0)
-    with pytest.raises(ConfigError):
-        WorkloadSpec(kind="trace", num_requests=3, arrivals=(0.1, 0.2))
-    with pytest.raises(ConfigError):
-        WorkloadSpec(kind="trace", num_requests=2, arrivals=(0.2, 0.1))
     with pytest.raises(ValueError, match="empty seed pool"):
         build_requests(WorkloadSpec(num_requests=1),
                        np.array([], dtype=np.int64), slo=0.05)
@@ -92,10 +98,3 @@ WORKLOAD_FLOAT_FIELDS = [f.name for f in fields(WorkloadSpec)
 def test_spec_rejects_non_finite_floats(field, value):
     with pytest.raises(ConfigError, match=f"^{field} must be finite"):
         WorkloadSpec(**{field: value})
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
-                         ids=["nan", "inf", "-inf"])
-def test_spec_rejects_non_finite_arrivals(value):
-    with pytest.raises(ConfigError, match="^arrivals must be finite"):
-        WorkloadSpec(kind="trace", num_requests=2, arrivals=(0.0, value))

@@ -92,6 +92,28 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["serve", "--replicas", "0"], "serve: num_replicas must be >= 1"),
+    (["run", "pyg+", "--dataset", "tiny", "--batch-size", "0"],
+     "run: batch_size must be >= 1, got 0"),
+], ids=["serve-replicas", "run-batch-size"])
+def test_invalid_value_is_a_usage_error(capsys, argv, message):
+    """A value the configuration rejects exits 2 with its message, like
+    argparse's usage errors, not 1 like a failed run; a given batch size
+    reaches the check even when it is 0."""
+    rc, out = run_cli(capsys, *argv)
+    assert rc == 2
+    assert message in out
+
+
+def test_cluster_has_no_kind_flag(capsys):
+    """The cluster router runs open-loop Poisson arrivals only."""
+    with pytest.raises(SystemExit) as exc:
+        main(["cluster", "--kind", "trace"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --kind trace" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # repro serve / repro cluster: the shared request-run report
 # ----------------------------------------------------------------------
@@ -121,9 +143,17 @@ BROKEN_RUNS = {
 }
 
 
-@pytest.mark.parametrize("command", REQUEST_COMMANDS)
-def test_request_command_clean_run(capsys, command):
-    rc, out = run_cli(capsys, command, *REQUEST_COMMANDS[command][2])
+@pytest.mark.parametrize("command,flags", [
+    ("serve", []),
+    ("cluster", []),
+    ("serve", ["--kind", "closed"]),
+    ("cluster", ["--rate-shape", "diurnal"]),
+    ("cluster", ["--rate-shape", "flash"]),
+], ids=["serve", "cluster", "serve-closed", "cluster-diurnal",
+        "cluster-flash"])
+def test_request_command_clean_run(capsys, command, flags):
+    rc, out = run_cli(capsys, command, *REQUEST_COMMANDS[command][2],
+                      *flags)
     assert rc == 0
     for row in ("offered", "SLO attainment", "p99 latency (ms)"):
         assert row in out

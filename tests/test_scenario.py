@@ -40,6 +40,17 @@ def test_cluster_sim_rejects_an_infinite_slo():
                    workload=sc.workload_spec(), slo=math.inf)
 
 
+def test_cluster_sim_rejects_a_closed_workload():
+    """The router admits from a precomputed arrival array, which cannot
+    express arrivals that wait on completions."""
+    sc = ClusterScenario(name="closed")
+    with pytest.raises(ConfigError, match="workload kind must be poisson"):
+        ClusterSim(Machine(sc.machine_spec()), get_dataset("tiny"),
+                   config=sc.cluster_config(),
+                   workload=sc.workload_spec().with_(kind="closed"),
+                   slo=sc.slo)
+
+
 def _machine(plan=None) -> Machine:
     return Machine(MachineSpec.paper_scaled(
         sanitize=True, sanitize_trace=True, faults=plan))
