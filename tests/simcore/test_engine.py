@@ -228,6 +228,113 @@ def test_interrupt_dead_process_is_noop():
     sim.run()
 
 
+def test_reyielding_the_interrupted_event_resumes_once():
+    sim = Simulator()
+    log = []
+
+    def sleeper(sim):
+        ev = sim.timeout(5, value="fired")
+        try:
+            yield ev
+        except InterruptError:
+            log.append(("interrupt", sim.now))
+        log.append(((yield ev), sim.now))   # still pending: wait again
+        yield sim.timeout(10)
+        log.append(("late", sim.now))
+
+    def interrupter(sim, victim):
+        yield sim.timeout(1)
+        victim.interrupt()
+
+    victim = sim.process(sleeper(sim))
+    sim.process(interrupter(sim, victim))
+    sim.run()
+    assert log == [("interrupt", 1.0), ("fired", 5.0), ("late", 15.0)]
+    assert victim.ok and not victim.is_alive
+
+
+@pytest.mark.parametrize("victim_index", [0, 1])
+def test_interrupting_one_of_two_waiters_leaves_the_other(victim_index):
+    sim = Simulator()
+    ev = sim.event()
+    log = []
+
+    def waiter(sim, name):
+        try:
+            log.append((name, (yield ev), sim.now))
+        except InterruptError:
+            log.append((name, "interrupt", sim.now))
+
+    waiters = [sim.process(waiter(sim, name)) for name in "ab"]
+
+    def driver(sim):
+        yield sim.timeout(1)
+        waiters[victim_index].interrupt()
+        yield sim.timeout(1)
+        ev.succeed("v")
+
+    sim.process(driver(sim))
+    sim.run()
+    victim, other = "ab"[victim_index], "ab"[1 - victim_index]
+    assert log == [(victim, "interrupt", 1.0), (other, "v", 2.0)]
+
+
+def test_self_interrupt_during_own_step_is_dropped():
+    """A process is not waiting while it runs, so interrupting itself
+    abandons no wait: it resumes from what it yields next, once."""
+    sim = Simulator()
+    log = []
+
+    def selfish(sim):
+        yield sim.timeout(1)
+        sim.active_process.interrupt("self")
+        log.append(((yield sim.timeout(2, value="next")), sim.now))
+        yield sim.timeout(3)
+        log.append(("late", sim.now))
+
+    def quitter(sim):
+        yield sim.timeout(1)
+        sim.active_process.interrupt("self")
+        return "done"
+
+    p = sim.process(selfish(sim))
+    q = sim.process(quitter(sim))
+    sim.run()
+    assert log == [("next", 3.0), ("late", 6.0)]
+    assert p.ok and q.ok and q.value == "done"
+
+
+def test_interrupt_between_trigger_and_dispatch_of_awaited_event():
+    """The awaited event is on the heap when the interrupt lands: the
+    URGENT interrupt wins, and the event's own dispatch resumes nobody.
+    Waiting on it again takes its value, once."""
+    sim = Simulator()
+    ev = sim.event()
+    log = []
+
+    def waiter(sim):
+        try:
+            yield ev
+        except InterruptError as exc:
+            log.append(("interrupt", exc.cause, sim.now))
+        log.append(((yield ev), sim.now))
+        yield sim.timeout(1)
+        log.append(("late", sim.now))
+
+    w = sim.process(waiter(sim))
+
+    def driver(sim):
+        yield sim.timeout(1)
+        ev.succeed("v")
+        assert ev.triggered and not ev.processed
+        w.interrupt("now")
+
+    sim.process(driver(sim))
+    sim.run()
+    assert log == [("interrupt", "now", 1.0), ("v", 1.0), ("late", 2.0)]
+    assert w.ok and ev.processed
+
+
 def test_run_until_advances_clock_to_horizon():
     sim = Simulator()
 

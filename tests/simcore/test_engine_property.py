@@ -2,7 +2,8 @@
 
 Hypothesis generates random schedules — heavy timestamp ties, process
 chains with same-timestamp cascades, joins on finished processes,
-interrupts, and ``put_many`` on a bounded store with a consumer — and
+interrupts, processes that wait again on the event an interrupt made
+them abandon, and ``put_many`` on a bounded store with a consumer — and
 runs each one on the engine and on the per-event reference loop
 (``tests/simcore/refengine.py``), both under strict, tracing sanitizers.
 The engines must produce the *identical* event stream: same (when,
@@ -33,6 +34,8 @@ OPS = st.lists(
         st.tuples(st.just("timeout"), DELAYS),
         st.tuples(st.just("proc"),
                   st.lists(DELAYS, min_size=1, max_size=4)),
+        st.tuples(st.just("reyield"),
+                  st.lists(DELAYS, min_size=1, max_size=4)),
         st.tuples(st.just("event"), st.just(None)),
         st.tuples(st.just("join"),
                   st.tuples(st.integers(0, 1_000_000), DELAYS)),
@@ -61,6 +64,20 @@ def _run_schedule(sim, ops, until=None):
                     # same-timestamp cascade inside an open cohort.
                     sim.timeout(d)
             procs.append(sim.process(body()))
+        elif kind == "reyield":
+            # An interrupt abandons the wait; yielding the same event
+            # again (pending, triggered or processed) must resume the
+            # process exactly once.
+            def reyielder(sim=sim, delays=tuple(arg)):
+                for d in delays:
+                    ev = sim.timeout(d)
+                    while True:
+                        try:
+                            yield ev
+                            break
+                        except InterruptError:
+                            pass
+            procs.append(sim.process(reyielder()))
         elif kind == "event":
             sim.event().succeed(None)
         elif kind == "join" and procs:
