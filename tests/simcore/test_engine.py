@@ -279,6 +279,39 @@ def test_interrupting_one_of_two_waiters_leaves_the_other(victim_index):
     assert log == [(victim, "interrupt", 1.0), (other, "v", 2.0)]
 
 
+def test_reyield_after_interrupt_queues_behind_later_waiters():
+    """Waiting on an event again after an interrupt queues the process
+    behind the waiters that came in between: they resume first."""
+    sim = Simulator()
+    ev = sim.event()
+    order = []
+
+    def first(sim):
+        try:
+            yield ev
+        except InterruptError:
+            order.append("interrupt")
+        yield ev
+        order.append("first")
+
+    def second(sim):
+        yield ev
+        order.append("second")
+
+    a = sim.process(first(sim))
+    sim.process(second(sim))
+
+    def driver(sim):
+        yield sim.timeout(1)
+        a.interrupt()
+        yield sim.timeout(1)
+        ev.succeed()
+
+    sim.process(driver(sim))
+    sim.run()
+    assert order == ["interrupt", "second", "first"]
+
+
 def test_self_interrupt_during_own_step_is_dropped():
     """A process is not waiting while it runs, so interrupting itself
     abandons no wait: it resumes from what it yields next, once."""
@@ -333,6 +366,34 @@ def test_interrupt_between_trigger_and_dispatch_of_awaited_event():
     sim.run()
     assert log == [("interrupt", "now", 1.0), ("v", 1.0), ("late", 2.0)]
     assert w.ok and ev.processed
+
+
+def test_interrupted_waiter_keeps_a_failed_event_observed():
+    """An interrupt moves the waiter on, but the abandoned event still
+    counts it: the event's failure reaches nobody and is not raised."""
+    sim = Simulator()
+    ev = sim.event()
+    log = []
+
+    def waiter(sim):
+        try:
+            yield ev
+        except InterruptError:
+            log.append(("interrupt", sim.now))
+        yield sim.timeout(1)
+        log.append(("late", sim.now))
+
+    w = sim.process(waiter(sim))
+
+    def driver(sim):
+        yield sim.timeout(1)
+        ev.fail(RuntimeError("lost"))
+        w.interrupt()
+
+    sim.process(driver(sim))
+    sim.run()
+    assert log == [("interrupt", 1.0), ("late", 2.0)]
+    assert w.ok and ev.processed and not ev.ok
 
 
 def test_run_until_advances_clock_to_horizon():

@@ -47,6 +47,12 @@ OPS = st.lists(
     min_size=1, max_size=25)
 
 
+def _name(procs):
+    """A process name unique within one schedule, so that the traces
+    tell two processes' events apart."""
+    return f"p{len(procs)}"
+
+
 def _run_schedule(sim, ops, until=None):
     """Interpret *ops* identically on either engine, then run."""
     procs = []
@@ -63,7 +69,7 @@ def _run_schedule(sim, ops, until=None):
                     # Arm during dispatch: with d == 0.0 this is a
                     # same-timestamp cascade inside an open cohort.
                     sim.timeout(d)
-            procs.append(sim.process(body()))
+            procs.append(sim.process(body(), name=_name(procs)))
         elif kind == "reyield":
             # An interrupt abandons the wait; yielding the same event
             # again (pending, triggered or processed) must resume the
@@ -77,23 +83,31 @@ def _run_schedule(sim, ops, until=None):
                             break
                         except InterruptError:
                             pass
-            procs.append(sim.process(reyielder()))
+            procs.append(sim.process(reyielder(), name=_name(procs)))
         elif kind == "event":
             sim.event().succeed(None)
         elif kind == "join" and procs:
             # Yielding a finished process takes the URGENT
-            # already-processed kick; a live one is a plain wait.
+            # already-processed kick; a live one is a plain wait.  An
+            # interrupted joiner waits on the same process again, behind
+            # any joiner that came in between.
             def joiner(sim=sim, target=procs[arg[0] % len(procs)],
                        d=arg[1]):
                 yield sim.timeout(d)
-                yield target
-            procs.append(sim.process(joiner()))
+                while True:
+                    try:
+                        yield target
+                        break
+                    except InterruptError:
+                        if not target.is_alive:
+                            raise  # the target died of an interrupt
+            procs.append(sim.process(joiner(), name=_name(procs)))
         elif kind == "interrupt" and procs:
             def interrupter(sim=sim, target=procs[arg[0] % len(procs)],
                             d=arg[1]):
                 yield sim.timeout(d)
                 target.interrupt("op")
-            procs.append(sim.process(interrupter()))
+            procs.append(sim.process(interrupter(), name=_name(procs)))
         elif kind == "put_many":
             n, d = arg
             store = Store(sim, capacity=2)
@@ -107,8 +121,8 @@ def _run_schedule(sim, ops, until=None):
                 yield sim.timeout(d)
                 for ev in store.put_many(range(n)):
                     yield ev
-            procs.append(sim.process(consumer()))
-            procs.append(sim.process(producer()))
+            procs.append(sim.process(consumer(), name=_name(procs)))
+            procs.append(sim.process(producer(), name=_name(procs)))
     sim.run(until=until)
 
 
@@ -170,8 +184,9 @@ def test_unsanitized_run_matches_sanitized_outcome(ops):
 def _mixed_program(sim):
     """A fixed schedule covering the dispatch shapes both engines share:
     timer waves with heavy ties, an URGENT interrupt kick that preempts
-    NORMAL timeouts at its own timestamp, and processes chaining
-    same-time events."""
+    NORMAL timeouts at its own timestamp, processes chaining same-time
+    events, and a waiter that an interrupt sends back to wait on a
+    shared event again, behind the other waiter."""
     waves = (np.arange(1, 21, dtype=np.float64) * 1e-4).tolist()
 
     def sleeper():
@@ -206,6 +221,25 @@ def _mixed_program(sim):
         for p in done:
             yield p
 
+    gate = sim.event()
+
+    def sharer():
+        try:
+            yield gate
+        except InterruptError:
+            yield gate
+        # Equal delays: the two finish in the order the gate woke them.
+        yield sim.timeout(1e-4)
+
+    def opener(first):
+        yield sim.timeout(waves[3])
+        first.interrupt("again")
+        yield sim.timeout(waves[1])
+        gate.succeed()
+
+    first = sim.process(sharer(), name="sharer-0")
+    sim.process(sharer(), name="sharer-1")
+    sim.process(opener(first), name="opener")
     target = sim.process(sleeper(), name="sleeper")
     sim.process(alarm(target), name="alarm")
     sim.process(timers(), name="timers")
