@@ -41,6 +41,7 @@ the shard's batch service times over the window.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from typing import Dict, List, Optional, Sequence
@@ -441,6 +442,11 @@ class ClusterSim:
         self._v_arrivals = memoryview(self.arrivals)
         self._v_completed_at = memoryview(self.completed_at)
         self._v_down_until = memoryview(self.down_until)
+        self._v_mirror_ptr = memoryview(self.mirror_ptr)
+        self._v_part_cost = memoryview(self.part_cost)
+        #: One batch's part costs, gathered for the batch's sum.
+        self._cost_buf = np.empty(cfg.max_batch, dtype=np.float64)
+        self._v_cost_buf = memoryview(self._cost_buf)
 
     # ------------------------------------------------------------------
     # Sanitizer hook
@@ -543,16 +549,20 @@ class ClusterSim:
         arrival router would decide.
         """
         a = self.arr_ptr
-        if a >= self.n or self._v_arrivals[a] > now:
+        arrivals = self._v_arrivals
+        if a >= self.n or arrivals[a] > now:
             return
-        hi = int(np.searchsorted(self.arrivals, now, side="right"))
+        # The arrivals are sorted: the same cut as
+        # ``searchsorted(side="right")``, without numpy's call overhead.
+        hi = bisect.bisect_right(arrivals, now, a)
         free = self.cfg.admit_capacity - self.outstanding
         take = max(0, min(hi - a, free))
         if take:
             self.req_status[a:a + take] = ADMITTED
             self.outstanding += take
             self.admitted += take
-            m = int(self.mirror_ptr[a + take] - self.mirror_ptr[a])
+            mirror_ptr = self._v_mirror_ptr
+            m = mirror_ptr[a + take] - mirror_ptr[a]
             self.mirrors_launched += m
             ledger = self._ledger
             if ledger is not None:
@@ -628,13 +638,19 @@ class ClusterSim:
     def _shard_proc(self, s: int):
         sim = self.sim
         down_until = self._v_down_until
+        arrivals, n = self._v_arrivals, self.n
+        part_cost = self._v_part_cost
+        cost_buf, v_cost_buf = self._cost_buf, self._v_cost_buf
+        add_reduce = np.add.reduce
         while not self._done_ev.triggered:
             if down_until[s] > sim.now:
                 yield sim.timeout(down_until[s] - sim.now)
                 continue
-            self._ingest(sim.now)
-            if self._done_ev.triggered:
-                break
+            a = self.arr_ptr
+            if a < n and arrivals[a] <= sim.now:
+                self._ingest(sim.now)
+                if self._done_ev.triggered:
+                    break
             chosen = self._form_batch(s, sim.now)
             if self._done_ev.triggered:
                 # Deadline drops inside the scan may have retired the
@@ -656,15 +672,20 @@ class ClusterSim:
                 yield AnyOf(sim, [sim.timeout(delay), ev])
                 self._kick[s] = None
                 continue
-            dur = (BATCH_OVERHEAD + float(self.part_cost[chosen].sum())) \
-                * self._slow_factor(s, sim.now)
+            # The chosen costs, in order, in one contiguous buffer: numpy's
+            # pairwise sum over it equals ``part_cost[chosen].sum()``.
+            for k, p in enumerate(chosen):
+                v_cost_buf[k] = part_cost[p]
+            dur = BATCH_OVERHEAD + float(add_reduce(cost_buf[:len(chosen)]))
+            if self.slow[s]:
+                dur *= self._slow_factor(s, sim.now)
             yield sim.timeout(dur)
             self._complete_batch(s, chosen, dur)
 
     def _slow_factor(self, s: int, now: float) -> float:
+        """Product of shard *s*'s listed slow windows still open at
+        *now*; drops the closed ones."""
         entries = self.slow[s]
-        if not entries:
-            return 1.0
         live = [e for e in entries if e[0] > now]
         if len(live) != len(entries):
             self.slow[s] = live

@@ -104,6 +104,10 @@ class Event:
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 
+def _abandoned(event: Event) -> None:
+    """Stands in for the callback of a wait that an interrupt abandoned."""
+
+
 class Timeout(Event):
     """An event that fires after a fixed delay; the workhorse of all timing."""
 
@@ -115,10 +119,12 @@ class Timeout(Event):
         if not 0 <= delay < _INF:
             raise ValueError(
                 f"timeout delay must be finite and >= 0: {delay!r}")
-        super().__init__(sim)
-        self.delay = delay
-        self._ok = True
+        # Event's fields, set once: a timeout is triggered at birth.
+        self.sim = sim
+        self.callbacks = []
         self._value = value
+        self._ok = True
+        self.delay = delay
         sim._schedule(self, NORMAL, delay)
 
 
@@ -132,7 +138,7 @@ class Process(Event):
     of :meth:`Simulator.run_until_triggered`.
     """
 
-    __slots__ = ("gen", "name", "_wait_token", "_waiting_on")
+    __slots__ = ("gen", "name", "_waiting_on", "_resume")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = "") -> None:
         super().__init__(sim)
@@ -140,15 +146,15 @@ class Process(Event):
             raise TypeError(f"process requires a generator, got {gen!r}")
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
-        #: Incremented whenever the process switches the event it waits on,
-        #: so callbacks from stale events become no-ops (needed for
-        #: interrupt support).
-        self._wait_token = 0
-        self._waiting_on: Optional[Event] = None
+        #: The one callback this process hooks onto every event it
+        #: waits on, bound once.  A wake-up by any event other than
+        #: ``_waiting_on`` is stale and ignored.
+        self._resume: Callable[[Event], None] = self._step
         # Kick off the process at the current simulation time.
         boot = Event(sim)
         boot.succeed(None, priority=URGENT)
-        boot.callbacks.append(self._make_resume(self._wait_token))
+        boot.callbacks.append(self._resume)
+        self._waiting_on: Optional[Event] = boot
 
     @property
     def is_alive(self) -> bool:
@@ -163,21 +169,22 @@ class Process(Event):
         """
         if not self.is_alive:
             return
-        self._wait_token += 1  # invalidate the outstanding wait
-        token = self._wait_token
+        abandoned = self._waiting_on
+        if abandoned is not None and abandoned.callbacks is not None:
+            # Unhook from the abandoned event, so that yielding it again
+            # hooks the only live copy.  The no-op keeps the event
+            # observed: its failure is not raised as nobody's.
+            callbacks = abandoned.callbacks
+            callbacks[callbacks.index(self._resume)] = _abandoned
         kick = Event(self.sim)
         kick.fail(InterruptError(cause), priority=URGENT)
-        kick.callbacks.append(self._make_resume(token))
-
-    def _make_resume(self, token: int) -> Callable[[Event], None]:
-        def resume(event: Event) -> None:
-            if token != self._wait_token or not self.is_alive:
-                return  # stale wake-up (e.g. interrupted while waiting)
-            self._step(event)
-        return resume
+        kick.callbacks.append(self._resume)
+        self._waiting_on = kick
 
     def _step(self, event: Event) -> None:
         """Advance the generator by one yield."""
+        if event is not self._waiting_on:
+            return  # stale: an interrupt moved the process on, or it died
         sim = self.sim
         sim._active_process = self
         try:
@@ -187,6 +194,7 @@ class Process(Event):
                 target = self.gen.throw(event._value)
         except StopIteration as stop:
             sim._active_process = None
+            self._waiting_on = None
             self.succeed(stop.value)
             return
         # The process boundary: any failure is routed into Process.fail
@@ -194,6 +202,7 @@ class Process(Event):
         # sim-lint: disable=DET105 -- exceptions become the process event's value
         except BaseException as exc:
             sim._active_process = None
+            self._waiting_on = None
             if not self.callbacks:
                 # Nobody waits on this process: record the death for
                 # run_until_triggered to raise after this step.
@@ -210,22 +219,23 @@ class Process(Event):
             # traceback points at the offending yield.
             kick = Event(sim)
             kick.fail(exc, priority=URGENT)
-            self._wait_token += 1
-            kick.callbacks.append(self._make_resume(self._wait_token))
+            kick.callbacks.append(self._resume)
+            self._waiting_on = kick
             return
 
-        self._wait_token += 1
-        self._waiting_on = target
-        if target.callbacks is None:
+        callbacks = target.callbacks
+        if callbacks is None:
             # Already processed: resume immediately (same timestamp).
             kick = Event(sim)
             if target._ok:
                 kick.succeed(target._value, priority=URGENT)
             else:
                 kick.fail(target._value, priority=URGENT)
-            kick.callbacks.append(self._make_resume(self._wait_token))
+            kick.callbacks.append(self._resume)
+            self._waiting_on = kick
         else:
-            target.callbacks.append(self._make_resume(self._wait_token))
+            callbacks.append(self._resume)
+            self._waiting_on = target
 
 
 class Simulator:
