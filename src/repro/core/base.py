@@ -25,7 +25,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 import numpy as np
 
 from repro.core.stats import EpochStats, StageBreakdown
-from repro.errors import ConfigError
+from repro.errors import ConfigError, require_seed
 from repro.graph.datasets import DiskDataset
 from repro.machine import Machine
 from repro.models import Adam, make_model
@@ -73,6 +73,7 @@ class TrainConfig:
         if self.fanouts and min(self.fanouts) < 1:
             raise ConfigError(
                 f"fanouts must be positive, got {self.fanouts!r}")
+        require_seed(self.seed)
 
     def resolved_fanouts(self) -> Tuple[int, ...]:
         return tuple(self.fanouts) if self.fanouts else scaled_default_fanouts(

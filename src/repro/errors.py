@@ -35,6 +35,13 @@ def require_finite_floats(record) -> None:
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
+def require_seed(seed: int) -> None:
+    """Raise :class:`ConfigError` for a negative *seed*, which numpy's
+    ``SeedSequence`` would reject only once generation starts."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed!r}")
+
+
 class SimulationError(ReproError):
     """Internal inconsistency inside the discrete-event engine."""
 

@@ -22,7 +22,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, require_seed
 from repro.graph.build import csc_from_keys
 from repro.graph.csc import CSCGraph
 from repro.graph.featurestore import FeatureStore
@@ -223,9 +223,11 @@ def make_dataset(name_or_spec, seed: int = 0, dim: Optional[int] = None,
     Raises
     ------
     ConfigError
-        For a *scale* or *dim* out of range, or a spec that scales to
-        fewer nodes than classes, before anything is generated.
+        For a negative *seed*, a *scale* or *dim* out of range, or a spec
+        that scales to fewer nodes than classes, before anything is
+        generated.
     """
+    require_seed(seed)
     if isinstance(name_or_spec, DatasetSpec):
         spec = name_or_spec
     else:

@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import (ConfigError, OutOfMemoryError, OutOfTimeError,
-                          SimulationError, require_finite_floats)
+                          SimulationError, require_finite_floats,
+                          require_seed)
 from repro.faults import (EMPTY_PLAN, default_chaos_plan,
                           default_replica_chaos_plan,
                           default_shard_chaos_plan, load_plan)
@@ -66,6 +67,7 @@ class ScenarioBase:
             raise ConfigError("dataset_scale must be in (0, 1]")
         if not self.host_gb > 0:
             raise ConfigError("host_gb must be positive")
+        require_seed(self.seed)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict:

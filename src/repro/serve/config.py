@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.errors import ConfigError, require_finite_floats
+from repro.errors import ConfigError, require_finite_floats, require_seed
 
 _WORKLOAD_KINDS = ("poisson", "closed")
 _POPULARITIES = ("uniform", "zipf")
@@ -62,6 +62,7 @@ class WorkloadSpec:
             raise ConfigError("num_requests must be >= 1")
         if self.seeds_per_request < 1:
             raise ConfigError("seeds_per_request must be >= 1")
+        require_seed(self.seed)
         if self.kind == "poisson" and not self.rate > 0:
             raise ConfigError("poisson workload needs a positive rate")
         if self.popularity not in _POPULARITIES:

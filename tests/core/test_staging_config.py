@@ -94,6 +94,7 @@ def test_config_defaults_match_paper():
     (TrainConfig, "num_layers", dict(num_layers=0)),
     (TrainConfig, "model_kind", dict(model_kind="foo")),
     (TrainConfig, "fanouts", dict(fanouts=(3, 0, 3))),
+    (TrainConfig, "seed", dict(seed=-1)),
 ])
 def test_config_validation(kw):
     """Every invalid value fails at construction, naming its field."""

@@ -53,6 +53,12 @@ def test_make_dataset_rejects_invalid_scale(scale, monkeypatch):
         make_dataset("tiny", scale=scale)
 
 
+def test_make_dataset_rejects_a_negative_seed(monkeypatch):
+    monkeypatch.setattr(datasets, "planted_partition_keys", _no_generation)
+    with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+        make_dataset("tiny", seed=-1)
+
+
 @pytest.mark.parametrize("dim", [0, -1])
 def test_make_dataset_rejects_invalid_dim(dim, monkeypatch):
     monkeypatch.setattr(datasets, "planted_partition_keys", _no_generation)

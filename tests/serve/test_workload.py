@@ -83,6 +83,8 @@ def test_spec_validation():
         WorkloadSpec(kind="trace")
     with pytest.raises(ConfigError):
         WorkloadSpec(kind="poisson", rate=0.0)
+    with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+        WorkloadSpec(seed=-1)
     with pytest.raises(ValueError, match="empty seed pool"):
         build_requests(WorkloadSpec(num_requests=1),
                        np.array([], dtype=np.int64), slo=0.05)

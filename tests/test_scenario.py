@@ -30,6 +30,12 @@ def test_scenarios_reject_non_finite_floats(cls, field, value):
         cls(name="bad", **{field: value})
 
 
+@pytest.mark.parametrize("cls", [Scenario, ServeScenario, ClusterScenario])
+def test_scenarios_reject_a_negative_seed(cls):
+    with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+        cls(name="bad", seed=-1)
+
+
 def test_cluster_sim_rejects_an_infinite_slo():
     """Deadlines at infinity never fire, so such a run would report a
     perfect attainment it never had to earn."""
