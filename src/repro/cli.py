@@ -234,6 +234,7 @@ def _request_report(command: str, run, plane_rows, title: str) -> int:
 
 def cmd_serve(args) -> int:
     from repro.serve import ServeScenario, run_serve_scenario
+    from repro.serve.server import NUM_CLIENTS, THINK_TIME
 
     plan = _fault_preset("serve", {"chaos": args.chaos,
                                    "replica-chaos": args.replica_chaos},
@@ -249,6 +250,10 @@ def cmd_serve(args) -> int:
         num_replicas=args.replicas, model_kind=args.model,
         fault_plan=plan, fault_plan_file=args.faults,
         hedge=not args.no_hedge, seed=args.seed)
+    load = (f"@ {args.rate:g} req/s" if args.kind == "poisson" else
+            # The closed loop paces itself by completions: --rate is unused.
+            f"by {NUM_CLIENTS} closed-loop clients, mean think time "
+            f"{THINK_TIME * 1e3:g} ms")
     return _request_report(
         "serve", run_serve_scenario(scenario),
         lambda s: [["backend", s.backend],
@@ -257,8 +262,8 @@ def cmd_serve(args) -> int:
                    ["bytes read", s.bytes_read],
                    ["reused nodes", s.reused_nodes],
                    ["loaded nodes", s.loaded_nodes]],
-        f"{scenario.backend} serving on {args.dataset} "
-        f"@ {args.rate:g} req/s (SLO {args.slo * 1e3:g} ms)")
+        f"{scenario.backend} serving on {args.dataset} {load} "
+        f"(SLO {args.slo * 1e3:g} ms)")
 
 
 def cmd_cluster(args) -> int:
@@ -385,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="workload: open-loop Poisson or closed-loop "
                         "clients (default: poisson)")
     p.add_argument("--rate", type=float, default=200.0,
-                   help="offered load, requests/second (default: 200)")
+                   help="offered load, requests/second, of --kind poisson "
+                        "(default: 200)")
     p.add_argument("--requests", type=int, default=60,
                    help="number of requests (default: 60)")
     p.add_argument("--seeds-per-request", type=int, default=1)

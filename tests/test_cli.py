@@ -96,7 +96,11 @@ def test_parser_requires_command():
     (["serve", "--replicas", "0"], "serve: num_replicas must be >= 1"),
     (["run", "pyg+", "--dataset", "tiny", "--batch-size", "0"],
      "run: batch_size must be >= 1, got 0"),
-], ids=["serve-replicas", "run-batch-size"])
+    (["run", "gnndrive-gpu", "--seed", "-1"], "run: seed must be >= 0, got -1"),
+    (["serve", "--seed", "-1"], "serve: seed must be >= 0, got -1"),
+    (["cluster", "--seed", "-1"], "cluster: seed must be >= 0, got -1"),
+], ids=["serve-replicas", "run-batch-size", "run-seed", "serve-seed",
+        "cluster-seed"])
 def test_invalid_value_is_a_usage_error(capsys, argv, message):
     """A value the configuration rejects exits 2 with its message, like
     argparse's usage errors, not 1 like a failed run; a given batch size
@@ -157,6 +161,20 @@ def test_request_command_clean_run(capsys, command, flags):
     assert rc == 0
     for row in ("offered", "SLO attainment", "p99 latency (ms)"):
         assert row in out
+
+
+def test_closed_loop_title_names_its_clients_and_no_rate(capsys):
+    """The closed loop paces itself by completions, so --rate changes
+    neither its run nor its title."""
+    titles = []
+    for rate in ("5", "500"):
+        rc, out = run_cli(capsys, "serve", "--kind", "closed",
+                          "--requests", "20", "--rate", rate)
+        assert rc == 0
+        titles.append(out.splitlines()[0])
+    assert titles[0] == titles[1]
+    assert "closed-loop clients" in titles[0]
+    assert "req/s" not in titles[0]
 
 
 @pytest.mark.parametrize("broken", BROKEN_RUNS)
