@@ -108,7 +108,8 @@ REGISTRY: Dict[str, Bench] = {
     "cluster": Bench(
         "sharded serving cluster: determinism, hedged-p99 win, zero-loss "
         "brownout floor under shard_down, golden-unchanged",
-        smoke="CI sizing: fewer requests, no scale point, same four gates"),
+        smoke="CI sizing: fewer chaos and measured requests, same four "
+              "gates"),
     "races": Bench(
         "static RACE2xx sweep + runtime race/deadlock detection over "
         "every run path",

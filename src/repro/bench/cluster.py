@@ -19,11 +19,8 @@ writes ``BENCH_cluster.json``.  Four gates decide the exit code:
    digests and trace text (``trace-serve.txt``, ``trace-cluster.txt``)
    bit-identically.
 
-Full mode additionally runs the headline **scale point** — millions of
-simulated requests through the 8-shard cluster — and records its SLO
-attainment and goodput (informational, not gated: the gates must stay
-cheap enough to run everywhere).  ``--smoke`` shrinks the request
-counts for CI; all four gates still run.
+``--smoke`` shrinks the request counts for CI; all four gates still
+run.
 """
 
 from __future__ import annotations
@@ -50,13 +47,6 @@ CHAOS_BASE = ClusterScenario(
     name="cluster-chaos", dataset="tiny", rate=2000.0,
     num_requests=2000, replication=2, slo=0.2,
     fault_plan="shard-chaos", seed=7)
-
-#: Headline scale point (full mode): millions of simulated requests.
-SCALE_BASE = ClusterScenario(
-    name="cluster-scale", dataset="tiny", rate=16000.0,
-    num_requests=2_000_000, num_shards=8, popularity="zipf",
-    zipf_alpha=1.3, slo=0.5, admit_capacity=16384, max_batch=64,
-    seed=7)
 
 #: SLO-attainment floor the chaos point must hold through its
 #: ``shard_down`` episode (gate 3).
@@ -126,11 +116,6 @@ def run(smoke: bool = False, verbose: bool = True):
                   "cluster", run_cluster_scenario(GOLDEN_CLUSTER_SCENARIO))}
     golden_ok = all(m is None for m in golden.values())
 
-    # Headline scale point (full mode only; informational).
-    scale_point = None
-    if not smoke:
-        scale_point = _cluster_point(SCALE_BASE)
-
     ok = bool(deterministic and hedge_wins and brownout_ok and golden_ok)
     artifact = {
         "ok": ok,
@@ -139,7 +124,6 @@ def run(smoke: bool = False, verbose: bool = True):
         "chaos": chaos,
         "hedged": hedged,
         "unhedged": unhedged,
-        "scale": scale_point,
         "gates": {
             "deterministic": deterministic,
             "hedge_wins": hedge_wins,
@@ -166,12 +150,6 @@ def run(smoke: bool = False, verbose: bool = True):
                   f"attain={s['slo_attainment']:.3f} "
                   f"redirects={s['redirects']} "
                   f"mirror_wins={s['mirror_wins']}/{s['mirrors']}")
-        if scale_point is not None and scale_point.get("stats"):
-            s = scale_point["stats"]
-            print(f"scale    offered={s['offered']} "
-                  f"goodput={s['goodput']:.0f}/s "
-                  f"attain={s['slo_attainment']:.3f} "
-                  f"p99={s['latency_p99'] * 1e3:.2f}ms")
         print(f"hedge: p99 {hedged_p99 * 1e3:.2f}ms hedged vs "
               f"{unhedged_p99 * 1e3:.2f}ms unhedged "
               f"-> {'WIN' if hedge_wins else 'FAIL'}")
