@@ -540,7 +540,9 @@ class ClusterSim:
     # Admission
     # ------------------------------------------------------------------
     def _ingest(self, now: float) -> None:
-        """Vectorized lazy admission of all arrivals up to *now*.
+        """Vectorized lazy admission of all arrivals up to *now*; the
+        shard loop calls it only when one is due
+        (``arrivals[arr_ptr] <= now``).
 
         Exact despite the laziness: the admission window only shrinks at
         event times (completions/failures), so within a chunk the
@@ -549,12 +551,9 @@ class ClusterSim:
         arrival router would decide.
         """
         a = self.arr_ptr
-        arrivals = self._v_arrivals
-        if a >= self.n or arrivals[a] > now:
-            return
         # The arrivals are sorted: the same cut as
         # ``searchsorted(side="right")``, without numpy's call overhead.
-        hi = bisect.bisect_right(arrivals, now, a)
+        hi = bisect.bisect_right(self._v_arrivals, now, a)
         free = self.cfg.admit_capacity - self.outstanding
         take = max(0, min(hi - a, free))
         if take:

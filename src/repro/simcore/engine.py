@@ -182,7 +182,7 @@ class Process(Event):
         self._waiting_on = kick
 
     def _step(self, event: Event) -> None:
-        """Advance the generator by one yield."""
+        """The resume callback: advance the generator by one yield."""
         if event is not self._waiting_on:
             return  # stale: an interrupt moved the process on, or it died
         sim = self.sim
